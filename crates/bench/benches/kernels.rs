@@ -267,26 +267,7 @@ fn bench_train_step(c: &mut Criterion) {
         pass.terms.total
     };
 
-    // The training-step bench and its twin with the muse-prof sampler
-    // attached at the default 97 Hz, interleaved sample-by-sample so the
-    // prof/base ratio is immune to machine-speed drift. The perf gate pairs
-    // `<name>_prof<hz>` with `<name>` from the same trace and fails the
-    // build if sampling overhead exceeds its band.
-    let profiler: std::cell::RefCell<Option<muse_prof::Profiler>> = std::cell::RefCell::new(None);
-    c.bench_pair(
-        "train_step_fig4_batch8",
-        "train_step_fig4_batch8_prof97",
-        || black_box(step()),
-        || {
-            let p = muse_prof::Profiler::start(97.0).expect("start profiler for overhead bench");
-            *profiler.borrow_mut() = Some(p);
-        },
-        || {
-            if let Some(p) = profiler.borrow_mut().take() {
-                p.stop();
-            }
-        },
-    );
+    c.bench_function("train_step_fig4_batch8", |b| b.iter(|| black_box(step())));
 
     // Steady-state bytes newly allocated per training step (pool misses
     // only). Recorded as a pseudo-kernel so the perf-gate's bytes-per-call

@@ -21,16 +21,10 @@
 //! sets (an AVX2 baseline would mask a scalar-machine regression, and a
 //! scalar baseline would make AVX2 runs look like free wins).
 //!
-//! Bench pairs named `<base>_prof<hz>` / `<base>` (the kernels bench emits
-//! `train_step_fig4_batch8_prof97`) additionally gate **sampling overhead**:
-//! the profiled run's min_ns may exceed its unprofiled sibling's — from the
-//! *same trace*, so machine speed cancels out — by at most
-//! `MUSE_PROF_OVERHEAD_TOL` (default 2%).
-//!
 //! Bench pairs named `<base>_jobs<n>` / `<base>` (the kernels bench emits
 //! `fig9_mini_fleet_jobs4`) gate the **fleet speedup**: `record` stamps the
 //! measured sequential-over-fleet ratio into the baseline's `fleet` block,
-//! and `check` fails when the current ratio — again from the *same trace*,
+//! and `check` fails when the current ratio — from the *same trace*,
 //! so machine speed cancels out — falls below the stamp by more than the
 //! tolerance band. A scheduler change that quietly serializes the fleet
 //! (or oversubscribes it into a slowdown) fails the gate even though each
@@ -47,10 +41,6 @@
 //!                                                      negative test)
 //! perf_gate doctor-isa <baseline.json> <out.json>      flip the recorded SIMD
 //!                                                      level (ISA-mismatch
-//!                                                      negative test)
-//! perf_gate doctor-prof <trace.jsonl> <out.jsonl>      inflate the trace's
-//!                                                      `_prof<hz>` timings
-//!                                                      (overhead-gate
 //!                                                      negative test)
 //! perf_gate doctor-fleet <baseline.json> <out.json>    inflate the stamped
 //!                                                      fleet speedups
@@ -74,15 +64,6 @@ const DOCTOR_SHRINK: f64 = 10.0;
 /// drift check must flag every kernel.
 const DOCTOR_ALLOC_BYTES: f64 = 1e12;
 
-/// Ceiling on profiled-vs-unprofiled slowdown for `<base>_prof<hz>` bench
-/// pairs; override with `MUSE_PROF_OVERHEAD_TOL`.
-const PROF_OVERHEAD_MAX: f64 = 0.02;
-
-/// How much `doctor-prof` inflates `_prof<hz>` timings: +50% overhead is far
-/// outside the band but inside the ordinary min_ns tolerance, so only the
-/// overhead rule trips.
-const DOCTOR_PROF_INFLATE: f64 = 1.5;
-
 /// How much `doctor-fleet` inflates the stamped fleet speedups: no honest
 /// run gets 10x faster than its own recorded ratio, so the fleet rule must
 /// trip while every other rule stays honest.
@@ -97,7 +78,6 @@ fn main() -> ExitCode {
         [mode, baseline, out] if mode == "doctor" => doctor(baseline, out),
         [mode, baseline, out] if mode == "doctor-alloc" => doctor_alloc(baseline, out),
         [mode, baseline, out] if mode == "doctor-isa" => doctor_isa(baseline, out),
-        [mode, trace, out] if mode == "doctor-prof" => doctor_prof(trace, out),
         [mode, baseline, out] if mode == "doctor-fleet" => doctor_fleet(baseline, out),
         _ => {
             eprintln!(
@@ -106,7 +86,6 @@ fn main() -> ExitCode {
                  perf_gate doctor <baseline.json> <doctored.json>\n       \
                  perf_gate doctor-alloc <baseline.json> <doctored.json>\n       \
                  perf_gate doctor-isa <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-prof <trace.jsonl> <doctored.jsonl>\n       \
                  perf_gate doctor-fleet <baseline.json> <doctored.json>"
             );
             return ExitCode::from(2);
@@ -303,38 +282,6 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
         }
     }
 
-    // Sampling-overhead rule: every `<base>_prof<hz>` bench is compared to
-    // its unprofiled sibling within this trace, so the ratio is immune to
-    // machine speed and the band can be far tighter than the min_ns one.
-    let overhead_tol = prof_overhead_tolerance();
-    for (name, prof_min, _) in &stats.benches {
-        let Some(base) = prof_base_name(name) else { continue };
-        match stats.benches.iter().find(|(n, _, _)| n == base) {
-            None => failures.push(format!(
-                "bench `{name}` has no unprofiled sibling `{base}` in the trace; \
-                 cannot gate sampling overhead"
-            )),
-            Some((_, base_min, _)) => {
-                let overhead = prof_min / base_min - 1.0;
-                let fail = overhead > overhead_tol;
-                let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
-                    "  {verdict:<4} {name:<40} prof overhead {:+.2}% vs `{base}` (max +{:.1}%)",
-                    overhead * 100.0,
-                    overhead_tol * 100.0
-                );
-                if fail {
-                    failures.push(format!(
-                        "bench `{name}` sampling overhead {:+.2}% over `{base}` exceeds +{:.1}% \
-                         (MUSE_PROF_OVERHEAD_TOL overrides)",
-                        overhead * 100.0,
-                        overhead_tol * 100.0
-                    ));
-                }
-            }
-        }
-    }
-
     // Fleet-speedup rule: every `<base>_jobs<n>` bench is compared to its
     // sequential sibling within this trace (machine speed cancels out) and
     // the ratio must not fall below the baseline's stamped speedup by more
@@ -461,16 +408,6 @@ fn doctor_isa(baseline_path: &str, out: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `train_step_fig4_batch8_prof97` → `train_step_fig4_batch8`; `None` when
-/// the name is not a profiled-sibling bench (suffix must be `_prof<digits>`).
-fn prof_base_name(name: &str) -> Option<&str> {
-    let (base, hz) = name.rsplit_once("_prof")?;
-    if base.is_empty() || hz.is_empty() || !hz.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some(base)
-}
-
 /// `fig9_mini_fleet_jobs4` → `fig9_mini_fleet`; `None` when the name is not
 /// a fleet-sibling bench (suffix must be `_jobs<digits>`).
 fn fleet_base_name(name: &str) -> Option<&str> {
@@ -534,59 +471,6 @@ fn inflate_fleet(fleet: Json, inflated: &mut usize) -> Json {
         ),
         other => other,
     }
-}
-
-fn prof_overhead_tolerance() -> f64 {
-    match std::env::var("MUSE_PROF_OVERHEAD_TOL") {
-        Ok(raw) => match raw.trim().parse::<f64>() {
-            Ok(v) if v > 0.0 => v,
-            _ => {
-                eprintln!("perf_gate: ignoring unusable MUSE_PROF_OVERHEAD_TOL={raw}");
-                PROF_OVERHEAD_MAX
-            }
-        },
-        Err(_) => PROF_OVERHEAD_MAX,
-    }
-}
-
-/// Inflate every `_prof<hz>` bench timing in a *trace* copy so a subsequent
-/// `check` against the honest baseline must fail on the overhead rule (and
-/// only on it: +50% stays inside the ordinary min_ns band) — CI uses this
-/// to prove the sampling-overhead gate has teeth.
-fn doctor_prof(trace: &str, out: &str) -> Result<(), String> {
-    let events = read_trace(trace).map_err(|e| format!("cannot read trace {trace}: {e}"))?;
-    let mut inflated = 0usize;
-    let doctored: Vec<String> = events
-        .into_iter()
-        .map(|ev| {
-            let is_prof_bench = ev.get("ev").and_then(Json::as_str) == Some("bench.result")
-                && ev.get("name").and_then(Json::as_str).is_some_and(|n| prof_base_name(n).is_some());
-            if !is_prof_bench {
-                return ev.render();
-            }
-            inflated += 1;
-            match ev {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| match v {
-                            Json::Num(n) if k.ends_with("_ns") => (k, Json::Num(n * DOCTOR_PROF_INFLATE)),
-                            other => (k, other),
-                        })
-                        .collect(),
-                )
-                .render(),
-                other => other.render(),
-            }
-        })
-        .collect();
-    if inflated == 0 {
-        return Err(format!("trace {trace} has no `_prof<hz>` bench.result events to inflate"));
-    }
-    std::fs::write(out, doctored.join("\n") + "\n")
-        .map_err(|e| format!("cannot write doctored trace {out}: {e}"))?;
-    println!("perf_gate: wrote prof-doctored trace ({inflated} timings x{DOCTOR_PROF_INFLATE}) to {out}");
-    Ok(())
 }
 
 fn inflate_kernels(kernels: Json) -> Json {

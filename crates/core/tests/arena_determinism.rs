@@ -11,6 +11,14 @@ use muse_traffic::flow::FlowSeries;
 use muse_traffic::grid::GridMap;
 use muse_traffic::subseries::SubSeriesSpec;
 use musenet::{MuseNet, MuseNetConfig, Trainer, TrainerOptions};
+use std::sync::{Mutex, MutexGuard};
+
+/// The arena switch is process-global: both tests flip it, so they must
+/// not overlap (one would train with the other's setting).
+fn arena_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// A smooth daily pattern so training has structure to fit.
 fn patterned_flows(grid: GridMap, days: usize, f: usize) -> FlowSeries {
@@ -68,6 +76,7 @@ fn train_with_arena(enabled: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
 
 #[test]
 fn pooled_training_is_bit_identical_to_fresh_allocation() {
+    let _g = arena_lock();
     // Reference: fresh allocations, single thread.
     let (ref_losses, ref_params) = with_threads(1, || train_with_arena(false));
     assert_eq!(ref_losses.len(), 3);
@@ -87,6 +96,7 @@ fn pooled_training_is_bit_identical_to_fresh_allocation() {
 
 #[test]
 fn pooled_training_recycles_buffers() {
+    let _g = arena_lock();
     // A steady-state batch should be served overwhelmingly from the pool:
     // after a warm-up epoch, later epochs allocate (almost) no new bytes.
     let _ = with_threads(1, || {

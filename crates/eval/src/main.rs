@@ -38,9 +38,9 @@
 //!                  keep the process (and the metrics endpoint) alive for
 //!                  <n> ms after the last experiment — lets scrapers catch
 //!                  the final state
-//!   --prof         sample wall-clock profiles of the run (MUSE_PROF_HZ or
-//!                  97 Hz) and write a collapsed-stack `.folded` artifact
-//!                  next to the trace (feed it to `muse-trace prof`)
+//!   --prof         write the run's span profile (exact self time per span
+//!                  path) as a collapsed-stack `.folded` artifact next to
+//!                  the trace (feed it to `muse-trace prof`)
 //! ```
 
 use muse_eval::drivers;
@@ -174,24 +174,11 @@ fn main() {
         ("simd_level".to_string(), muse_tensor::simd::level_name().to_string()),
         ("threads".to_string(), muse_parallel::current_threads().to_string()),
     ]);
-    muse_prof::install_debug_handler();
-    // --prof forces sampling on (at MUSE_PROF_HZ if set, else the default
-    // rate); without it the profiler still starts when MUSE_PROF_HZ asks.
-    let profiler = if args.prof {
-        let hz = muse_prof::env_hz().unwrap_or(muse_prof::DEFAULT_HZ);
-        match muse_prof::Profiler::start(hz) {
-            Ok(p) => {
-                eprintln!("[prof] sampling at {} Hz", p.hz());
-                Some(p)
-            }
-            Err(e) => {
-                eprintln!("cannot start profiler: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        muse_prof::Profiler::start_from_env()
-    };
+    // The profile is folded from the span histograms, which only record
+    // while collection is on.
+    if args.prof {
+        obs::enable();
+    }
     // A live exporter implies telemetry: enable collection so /metrics has
     // counters to show even without a trace file.
     let server = match &args.serve_metrics {
@@ -252,7 +239,6 @@ fn main() {
                         .map_or(Json::Null, |p| Json::Str(p.display().to_string())),
                 ),
                 ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-                ("prof_hz", profiler.as_ref().map_or(Json::Null, |p| Json::Num(p.hz()))),
             ],
         );
     }
@@ -278,19 +264,15 @@ fn main() {
             eprintln!("[{exp}] wrote {}", path.display());
         }
     }
-    if let Some(p) = profiler {
-        p.stop();
-        let samples = obs::counter("prof.samples").get();
-        if args.prof {
-            let folded = muse_prof::collapsed(None);
-            let path = args
-                .trace
-                .as_ref()
-                .map_or_else(|| PathBuf::from("muse-eval.folded"), |t| t.with_extension("folded"));
-            match std::fs::write(&path, folded) {
-                Ok(()) => eprintln!("[prof] wrote {} ({samples} samples)", path.display()),
-                Err(e) => eprintln!("[prof] cannot write {}: {e}", path.display()),
-            }
+    if args.prof {
+        let folded = obs::profile::span_profile();
+        let path = args
+            .trace
+            .as_ref()
+            .map_or_else(|| PathBuf::from("muse-eval.folded"), |t| t.with_extension("folded"));
+        match std::fs::write(&path, &folded) {
+            Ok(()) => eprintln!("[prof] wrote {} ({} stacks)", path.display(), folded.lines().count()),
+            Err(e) => eprintln!("[prof] cannot write {}: {e}", path.display()),
         }
     }
     if tracing {

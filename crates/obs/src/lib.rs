@@ -43,6 +43,7 @@ pub mod alerts;
 pub mod http;
 pub mod json;
 pub mod metrics;
+pub mod profile;
 pub mod rolling;
 pub mod serve;
 pub mod sink;
@@ -57,10 +58,7 @@ pub use sink::{
     close_trace, emit, emit_with, emitted_events, flush_trace, init_from_env, next_run_id, now_ns,
     open_trace, read_trace, trace_enabled, trace_path,
 };
-pub use span::{
-    prof_frame, register_thread, sample_stacks, set_stack_publish, span, span_depth, thread_ordinal,
-    SpanGuard, StackSample, MAX_PUBLISHED_FRAMES,
-};
+pub use span::{span, span_depth, thread_ordinal, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,7 +1,7 @@
 //! Live metrics exporter: a tiny blocking HTTP listener.
 //!
-//! [`MetricsServer::start`] binds a TCP listener and serves two routes from
-//! a background thread:
+//! [`MetricsServer::start`] binds a TCP listener and serves three routes
+//! from a background thread:
 //!
 //! * `GET /metrics` — the full registry in Prometheus text exposition
 //!   format (version 0.0.4): counters as `muse_<name>_total`, gauges as
@@ -9,6 +9,8 @@
 //!   kernel stats as three labelled counter families.
 //! * `GET /status`  — a JSON snapshot of the run: uptime, scrape count,
 //!   whether a trace is open and where, and the global event watermark.
+//! * `GET /debug/profile[?seconds=N]` — collapsed stacks of closed spans
+//!   ([`debug_profile`]).
 //!
 //! The server is deliberately minimal — one thread, blocking I/O, no
 //! keep-alive — because its job is to let `curl`/Prometheus watch a long
@@ -18,6 +20,7 @@
 use crate::http::{read_request, respond_error, write_response, Request};
 use crate::json::Json;
 use crate::metrics;
+use crate::profile;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,26 +31,37 @@ use std::time::{Duration, Instant};
 /// Prometheus content type for text exposition format 0.0.4.
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
-/// `(status, content type, body)` produced by a [`DebugHandler`].
-pub type DebugResponse = (u16, &'static str, String);
+const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
 
-/// Handler for `/debug/*` routes, installed by a diagnostic subsystem
-/// (the `muse-prof` sampler) that `muse-obs` itself must not depend on.
-pub type DebugHandler = dyn Fn(&Request) -> DebugResponse + Send + Sync;
+/// Longest window `/debug/profile?seconds=N` accepts. The request blocks
+/// its connection for the window, and on the single-threaded exporter
+/// every other route with it.
+pub const MAX_PROFILE_SECONDS: f64 = 60.0;
 
-static DEBUG_HANDLER: Mutex<Option<Arc<DebugHandler>>> = Mutex::new(None);
-
-/// Install the process-wide `/debug/*` handler. Both the MetricsServer and
-/// any embedding HTTP server (muse-serve) route `/debug/` requests here, so
-/// profile rendering lives in one place.
-pub fn set_debug_handler(handler: Arc<DebugHandler>) {
-    *DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()) = Some(handler);
-}
-
-/// Dispatch a `/debug/*` request to the installed handler, if any.
-pub fn debug_request(request: &Request) -> Option<DebugResponse> {
-    let handler = DEBUG_HANDLER.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    handler.map(|h| h(request))
+/// Answer `GET /debug/profile`: collapsed stacks of closed spans (see
+/// [`crate::profile`]). Without `seconds` it returns the totals since the
+/// process started at once; with `?seconds=N` it sleeps `N` seconds and
+/// returns what closed in between. `N` must be finite, positive and at
+/// most [`MAX_PROFILE_SECONDS`], else the answer is 400. Both HTTP servers
+/// (this exporter and muse-serve) route here.
+pub fn debug_profile(request: &Request) -> (u16, &'static str, String) {
+    let Some(raw) = request.query_param("seconds") else {
+        return (200, TEXT_CONTENT_TYPE, profile::span_profile());
+    };
+    let seconds = match raw.parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 && s <= MAX_PROFILE_SECONDS => s,
+        _ => {
+            return (
+                400,
+                TEXT_CONTENT_TYPE,
+                format!("seconds must be a number in (0, {MAX_PROFILE_SECONDS}], got {raw:?}\n"),
+            )
+        }
+    };
+    let before = profile::span_totals();
+    std::thread::sleep(Duration::from_secs_f64(seconds));
+    let window = profile::totals_since(&before, &profile::span_totals());
+    (200, TEXT_CONTENT_TYPE, profile::collapsed(&profile::fold(&window)))
 }
 
 static BUILD_INFO: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
@@ -153,7 +167,7 @@ fn handle_connection(stream: TcpStream, started: Instant, scrapes: &AtomicU64) -
         Err(err) => return respond_error(reader.get_mut(), &err),
     };
     let (status, content_type, body) = if request.method != "GET" {
-        (405, "text/plain; charset=utf-8", "method not allowed\n".to_string())
+        (405, TEXT_CONTENT_TYPE, "method not allowed\n".to_string())
     } else {
         match request.path.as_str() {
             "/metrics" => {
@@ -161,15 +175,8 @@ fn handle_connection(stream: TcpStream, started: Instant, scrapes: &AtomicU64) -
                 (200, METRICS_CONTENT_TYPE, render_prometheus())
             }
             "/status" => (200, "application/json; charset=utf-8", status_json(started, scrapes).render()),
-            p if p.starts_with("/debug/") => match debug_request(&request) {
-                Some(response) => response,
-                None => (
-                    404,
-                    "text/plain; charset=utf-8",
-                    "no debug handler installed (start the muse-prof sampler)\n".to_string(),
-                ),
-            },
-            _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
+            "/debug/profile" => debug_profile(&request),
+            _ => (404, TEXT_CONTENT_TYPE, "not found\n".to_string()),
         }
     };
     write_response(reader.get_mut(), status, content_type, body.as_bytes())
@@ -421,27 +428,61 @@ mod tests {
     }
 
     #[test]
-    fn debug_routes_dispatch_to_installed_handler() {
+    fn debug_profile_serves_cumulative_and_windowed_stacks() {
+        let _g = crate::test_lock();
+        crate::enable();
+        {
+            let _outer = crate::span("debug_profile_outer");
+            let _inner = crate::span("debug_profile_inner");
+        }
+        let server = MetricsServer::start("127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let (head, body) = http_get(addr, "/debug/profile");
+        assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+        assert!(body.contains("debug_profile_outer;debug_profile_inner "), "body: {body}");
+        // A window only holds spans that closed inside it; keep closing
+        // some until the windowed answer is back.
+        let done = Arc::new(AtomicBool::new(false));
+        let closer = std::thread::spawn({
+            let done = Arc::clone(&done);
+            move || {
+                while !done.load(Ordering::Relaxed) {
+                    let _s = crate::span("debug_profile_windowed");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+        });
+        let (head, body) = http_get(addr, "/debug/profile?seconds=0.2");
+        done.store(true, Ordering::Relaxed);
+        closer.join().unwrap();
+        crate::disable();
+        assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+        assert!(body.contains("debug_profile_windowed "), "body: {body}");
+        assert!(!body.contains("debug_profile_outer"), "body: {body}");
+        let (head, _) = http_get(addr, "/debug/unknown");
+        assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn debug_profile_rejects_unusable_windows_and_keeps_serving() {
         let _g = crate::test_lock();
         let server = MetricsServer::start("127.0.0.1:0").unwrap();
         let addr = server.addr();
-        // Without a handler, /debug/* explains itself instead of a bare 404.
-        let (head, body) = http_get(addr, "/debug/profile");
-        assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
-        assert!(body.contains("no debug handler"));
-        set_debug_handler(Arc::new(|req: &Request| {
-            if req.path == "/debug/echo" {
-                let n = req.query_param("n").unwrap_or_default();
-                (200, "text/plain; charset=utf-8", format!("echo {n}\n"))
-            } else {
-                (404, "text/plain; charset=utf-8", "not found\n".to_string())
-            }
-        }));
-        let (head, body) = http_get(addr, "/debug/echo?n=42");
+        let over_cap = format!("{}", MAX_PROFILE_SECONDS + 1.0);
+        for bad in ["1e300", "inf", "NaN", "0", "-1", "bogus", over_cap.as_str()] {
+            let (head, body) = http_get(addr, &format!("/debug/profile?seconds={bad}"));
+            assert!(head.starts_with("HTTP/1.1 400"), "seconds={bad}: {head}");
+            assert!(body.contains("seconds must be"), "seconds={bad}: {body}");
+        }
+        // The listener survived every rejection.
+        let (head, _) = http_get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
-        assert_eq!(body, "echo 42\n");
-        let (head, _) = http_get(addr, "/debug/unknown");
-        assert!(head.starts_with("HTTP/1.1 404"));
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"POST /debug/profile HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        io::Read::read_to_string(&mut stream, &mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 405 "), "response: {response}");
         server.shutdown();
     }
 

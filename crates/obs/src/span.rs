@@ -9,32 +9,19 @@
 //! `span.enter` / `span.exit` events carrying the full slash-joined path,
 //! a per-thread ordinal (`tid`), the nesting depth, and monotonic
 //! nanosecond timestamps from [`crate::sink::now_ns`]. `muse-trace flame`
-//! folds these into collapsed-stack profiles.
-//!
-//! ## Published stacks (sampling-profiler support)
-//!
-//! Independently of tracing, each thread can *publish* its current span
-//! stack through a lock-free per-thread [`StackSlot`]: a seqlock-style
-//! version counter plus a fixed-depth array of interned frame ids. A
-//! sampling profiler (`muse-prof`) snapshots every registered slot with
-//! [`sample_stacks`] without stopping or signalling any thread. Publishing
-//! is off by default ([`set_stack_publish`]) and costs the instrumented
-//! thread a handful of relaxed atomic stores per span when on — it never
-//! changes what the workload computes.
+//! folds these into collapsed-stack profiles; [`crate::profile`] folds the
+//! `span.<path>` histograms the same way for the live `/debug/profile`.
 
 use crate::json::Json;
 use crate::metrics::histogram_owned;
 use crate::sink;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     static TID: Cell<u64> = const { Cell::new(0) };
-    static MY_SLOT: Cell<Option<&'static StackSlot>> = const { Cell::new(None) };
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -52,252 +39,14 @@ pub fn thread_ordinal() -> u64 {
     })
 }
 
-// --- published stacks -----------------------------------------------------
-
-/// Depth of the fixed frame array in each [`StackSlot`]. Frames nested
-/// deeper than this still count toward `depth` but are not published; the
-/// sampler reports such samples as truncated.
-pub const MAX_PUBLISHED_FRAMES: usize = 32;
-
-/// Global switch for stack publication, read with a single relaxed load on
-/// every span open/close. Off by default; flipped by the sampling profiler.
-static PUBLISH: AtomicBool = AtomicBool::new(false);
-
-/// Turn span-stack publication on or off. When off (the default), spans
-/// never touch their thread's [`StackSlot`] and [`sample_stacks`] sees
-/// empty stacks everywhere.
-pub fn set_stack_publish(on: bool) {
-    PUBLISH.store(on, Ordering::Relaxed);
-}
-
-/// Whether span-stack publication is currently on.
-pub fn stack_publish_enabled() -> bool {
-    PUBLISH.load(Ordering::Relaxed)
-}
-
-struct Interner {
-    names: Vec<&'static str>,
-    by_ptr: BTreeMap<(usize, usize), u32>,
-}
-
-static INTERNER: Mutex<Interner> = Mutex::new(Interner { names: Vec::new(), by_ptr: BTreeMap::new() });
-
-/// Intern a `&'static str` frame name, returning its dense id. Keyed by
-/// pointer + length so the hot path never hashes string contents; two
-/// distinct statics with equal text simply get two ids mapping to equal
-/// names, which folds identically downstream.
-pub fn intern_frame(name: &'static str) -> u32 {
-    let key = (name.as_ptr() as usize, name.len());
-    let mut interner = INTERNER.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(&id) = interner.by_ptr.get(&key) {
-        return id;
-    }
-    let id = interner.names.len() as u32;
-    interner.names.push(name);
-    interner.by_ptr.insert(key, id);
-    id
-}
-
-/// Resolve an interned frame id back to its name.
-pub fn frame_name(id: u32) -> Option<&'static str> {
-    INTERNER.lock().unwrap_or_else(|p| p.into_inner()).names.get(id as usize).copied()
-}
-
-/// One thread's published span stack: a single-writer seqlock. The owning
-/// thread bumps `version` to odd, mutates, then bumps to even; a sampler
-/// thread reads `version`, copies the frames, and retries on a mismatch —
-/// no lock is ever held, so the workload thread can never block on the
-/// sampler (or vice versa).
-pub struct StackSlot {
-    tid: u64,
-    version: AtomicU32,
-    depth: AtomicU32,
-    frames: [AtomicU32; MAX_PUBLISHED_FRAMES],
-}
-
-impl StackSlot {
-    fn new(tid: u64) -> StackSlot {
-        StackSlot {
-            tid,
-            version: AtomicU32::new(0),
-            depth: AtomicU32::new(0),
-            frames: std::array::from_fn(|_| AtomicU32::new(0)),
-        }
-    }
-
-    /// Single-writer mutation: odd version while `mutate` runs, even after.
-    /// The release fence keeps the odd store visible before the data
-    /// stores; the final release store publishes the data before the even
-    /// version.
-    #[inline]
-    fn write(&self, mutate: impl FnOnce(&StackSlot)) {
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        mutate(self);
-        self.version.store(v.wrapping_add(2), Ordering::Release);
-    }
-
-    #[inline]
-    fn push(&self, frame: u32) {
-        self.write(|slot| {
-            let depth = slot.depth.load(Ordering::Relaxed);
-            if (depth as usize) < MAX_PUBLISHED_FRAMES {
-                slot.frames[depth as usize].store(frame, Ordering::Relaxed);
-            }
-            slot.depth.store(depth.wrapping_add(1), Ordering::Relaxed);
-        });
-    }
-
-    #[inline]
-    fn pop(&self) {
-        self.write(|slot| {
-            let depth = slot.depth.load(Ordering::Relaxed);
-            slot.depth.store(depth.saturating_sub(1), Ordering::Relaxed);
-        });
-    }
-
-    /// Seqlock read: retry a few times if the writer is mid-mutation, give
-    /// up (returning `false`) rather than spin — a torn sample is just a
-    /// dropped sample.
-    fn read_into(&self, out: &mut StackSample) -> bool {
-        for _ in 0..3 {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let depth = self.depth.load(Ordering::Relaxed);
-            let stored = (depth as usize).min(MAX_PUBLISHED_FRAMES);
-            for (i, frame) in out.frames[..stored].iter_mut().enumerate() {
-                *frame = self.frames[i].load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) == v1 {
-                out.tid = self.tid;
-                out.depth = depth;
-                out.truncated = depth as usize > MAX_PUBLISHED_FRAMES;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Registry of every thread's slot. Slots are leaked (`&'static`) so the
-/// sampler can keep reading them after the owning thread exits; threads
-/// are few and slots are ~150 bytes, so the leak is bounded and harmless.
-static SLOTS: Mutex<Vec<&'static StackSlot>> = Mutex::new(Vec::new());
-
-fn local_slot() -> &'static StackSlot {
-    MY_SLOT.with(|cell| match cell.get() {
-        Some(slot) => slot,
-        None => {
-            let slot: &'static StackSlot = Box::leak(Box::new(StackSlot::new(thread_ordinal())));
-            SLOTS.lock().unwrap_or_else(|p| p.into_inner()).push(slot);
-            cell.set(Some(slot));
-            slot
-        }
-    })
-}
-
-/// Register the calling thread with the sampling profiler. Spans register
-/// their thread lazily on first publication; long-lived worker threads
-/// (thread pools, servers) should call this once up front so they are
-/// visible to the sampler even before their first span.
-pub fn register_thread() {
-    let _ = local_slot();
-}
-
-/// Number of threads currently registered for stack sampling.
-pub fn registered_threads() -> usize {
-    SLOTS.lock().unwrap_or_else(|p| p.into_inner()).len()
-}
-
-/// One sampled thread stack: interned frame ids, shallowest first.
-#[derive(Clone)]
-pub struct StackSample {
-    /// Thread ordinal ([`thread_ordinal`]) of the sampled thread.
-    pub tid: u64,
-    /// Logical stack depth at sample time (may exceed the stored frames).
-    pub depth: u32,
-    /// True when `depth > MAX_PUBLISHED_FRAMES` and deep frames were lost.
-    pub truncated: bool,
-    /// Interned frame ids; only the first `min(depth, MAX_PUBLISHED_FRAMES)`
-    /// entries are meaningful.
-    pub frames: [u32; MAX_PUBLISHED_FRAMES],
-}
-
-impl StackSample {
-    /// An empty sample, for preallocating reusable buffers.
-    pub fn empty() -> StackSample {
-        StackSample { tid: 0, depth: 0, truncated: false, frames: [0; MAX_PUBLISHED_FRAMES] }
-    }
-}
-
-/// Snapshot every registered thread's published stack into `out` (cleared
-/// first); threads with an empty stack are skipped. Returns the number of
-/// torn reads abandoned (a thread kept mutating its slot across all
-/// retries) — callers count those as dropped samples.
-pub fn sample_stacks(out: &mut Vec<StackSample>) -> usize {
-    out.clear();
-    let slots: Vec<&'static StackSlot> = SLOTS.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    let mut torn = 0;
-    let mut sample = StackSample::empty();
-    for slot in slots {
-        if slot.read_into(&mut sample) {
-            if sample.depth > 0 {
-                out.push(sample.clone());
-            }
-        } else {
-            torn += 1;
-        }
-    }
-    torn
-}
-
-/// Publish a lightweight frame on this thread's sampled stack without the
-/// histogram/trace machinery of a full [`span`]. A single relaxed load when
-/// publication is off; used by infrastructure (e.g. pool workers marking
-/// `parallel.job`) where full spans would be too hot.
-#[inline]
-pub fn prof_frame(name: &'static str) -> FrameGuard {
-    if !PUBLISH.load(Ordering::Relaxed) {
-        return FrameGuard { active: false };
-    }
-    local_slot().push(intern_frame(name));
-    FrameGuard { active: true }
-}
-
-/// Guard returned by [`prof_frame`]; unpublishes the frame on drop.
-pub struct FrameGuard {
-    active: bool,
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        if self.active {
-            local_slot().pop();
-        }
-    }
-}
-
-// --- spans ----------------------------------------------------------------
-
 /// Open a timed span. Drop closes it and records its duration (in
 /// nanoseconds) into the `span.<path>` histogram; with a trace open, enter
 /// and exit events are emitted as well.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard { run: None, trace: None, published: false };
+        return SpanGuard { run: None, trace: None };
     }
-    let published = if PUBLISH.load(Ordering::Relaxed) {
-        local_slot().push(intern_frame(name));
-        true
-    } else {
-        false
-    };
     let depth = SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         stack.push(name);
@@ -320,7 +69,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     } else {
         None
     };
-    SpanGuard { run: Some(Instant::now()), trace, published }
+    SpanGuard { run: Some(Instant::now()), trace }
 }
 
 /// Current nesting depth of this thread's span stack.
@@ -336,8 +85,6 @@ pub struct SpanGuard {
     run: Option<Instant>,
     /// `(path, tid)` captured at enter when a trace was open.
     trace: Option<(String, u64)>,
-    /// Whether this span pushed a frame onto the published stack slot.
-    published: bool,
 }
 
 impl SpanGuard {
@@ -350,9 +97,6 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.run.take() else { return };
-        if self.published {
-            local_slot().pop();
-        }
         let nanos = start.elapsed().as_nanos() as u64;
         let path = match self.trace.take() {
             // Reuse the enter-time path: the exit event must pair with the
@@ -445,81 +189,6 @@ mod tests {
             seen.push(got);
         }
         assert_eq!(thread_ordinal(), here);
-    }
-
-    #[test]
-    fn published_stacks_are_sampleable() {
-        let _g = crate::test_lock();
-        crate::enable();
-        set_stack_publish(true);
-        let my_tid = thread_ordinal();
-        let mut samples = Vec::new();
-        {
-            let _outer = span("pub_outer");
-            let _inner = span("pub_inner");
-            sample_stacks(&mut samples);
-        }
-        set_stack_publish(false);
-        crate::disable();
-        let mine = samples.iter().find(|s| s.tid == my_tid).expect("own thread sampled");
-        assert_eq!(mine.depth, 2);
-        assert!(!mine.truncated);
-        assert_eq!(frame_name(mine.frames[0]), Some("pub_outer"));
-        assert_eq!(frame_name(mine.frames[1]), Some("pub_inner"));
-        // After the spans close, this thread's stack is empty again and no
-        // longer shows up in a snapshot.
-        sample_stacks(&mut samples);
-        assert!(samples.iter().all(|s| s.tid != my_tid));
-    }
-
-    #[test]
-    fn deep_stacks_truncate_but_keep_depth() {
-        let _g = crate::test_lock();
-        crate::enable();
-        set_stack_publish(true);
-        let my_tid = thread_ordinal();
-        let mut guards = Vec::new();
-        for _ in 0..(MAX_PUBLISHED_FRAMES + 4) {
-            guards.push(span("deep_frame"));
-        }
-        let mut samples = Vec::new();
-        sample_stacks(&mut samples);
-        drop(guards);
-        set_stack_publish(false);
-        crate::disable();
-        let mine = samples.iter().find(|s| s.tid == my_tid).expect("own thread sampled");
-        assert_eq!(mine.depth as usize, MAX_PUBLISHED_FRAMES + 4);
-        assert!(mine.truncated);
-        assert_eq!(frame_name(mine.frames[MAX_PUBLISHED_FRAMES - 1]), Some("deep_frame"));
-    }
-
-    #[test]
-    fn prof_frame_is_inert_unless_publishing() {
-        let _g = crate::test_lock();
-        let my_tid = thread_ordinal();
-        let mut samples = Vec::new();
-        {
-            let _f = prof_frame("never_published");
-            sample_stacks(&mut samples);
-            assert!(samples.iter().all(|s| s.tid != my_tid));
-        }
-        set_stack_publish(true);
-        {
-            let _f = prof_frame("now_published");
-            sample_stacks(&mut samples);
-            let mine = samples.iter().find(|s| s.tid == my_tid).expect("frame published");
-            assert_eq!(frame_name(mine.frames[0]), Some("now_published"));
-        }
-        set_stack_publish(false);
-    }
-
-    #[test]
-    fn interner_is_stable_per_static() {
-        let name: &'static str = "intern_stable_test";
-        let id = intern_frame(name);
-        assert_eq!(intern_frame(name), id);
-        assert_eq!(frame_name(id), Some(name));
-        assert_eq!(frame_name(u32::MAX), None);
     }
 
     #[test]

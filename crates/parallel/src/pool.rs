@@ -148,9 +148,6 @@ impl ThreadPool {
                 std::thread::Builder::new()
                     .name(format!("muse-parallel-{i}"))
                     .spawn(move || {
-                        // Make the worker visible to the sampling profiler
-                        // even before it publishes its first frame.
-                        obs::register_thread();
                         while let Some(job) = q.pop_blocking() {
                             run_marked(job);
                         }
@@ -366,9 +363,6 @@ fn run_marked(job: Job) {
     IN_WORKER.with(|w| w.set(true));
     ACTIVE.fetch_add(1, Ordering::Relaxed);
     publish_pool_gauges();
-    // One relaxed load when the profiler is off; when sampling, attributes
-    // worker time to `parallel.job` instead of an empty stack.
-    let _frame = obs::span::prof_frame("parallel.job");
     let result = catch_unwind(AssertUnwindSafe(job));
     ACTIVE.fetch_sub(1, Ordering::Relaxed);
     if obs::enabled() {

@@ -138,7 +138,7 @@ pub fn partition_threads(jobs: usize) -> usize {
 /// today's sequential behavior exactly.
 ///
 /// Telemetry per job (when observability is on): a `sched.job` span (trace
-/// rows + profiler attribution), a `sched.job` event carrying the fleet
+/// rows + span profile), a `sched.job` event carrying the fleet
 /// label / job index / worker ordinal / duration, and the
 /// `sched.active_jobs` / `sched.queue_depth` gauges plus the
 /// `sched.jobs_completed` counter.
@@ -177,9 +177,6 @@ pub fn run_fleet<'a, R: Send>(label: &str, jobs: Vec<FleetJob<'a, R>>) -> Vec<R>
             std::thread::Builder::new()
                 .name(format!("muse-fleet-{worker}"))
                 .spawn_scoped(scope, move || {
-                    // Visible to the sampling profiler even before the
-                    // first `sched.job` frame.
-                    obs::register_thread();
                     IN_FLEET.with(|f| f.set(true));
                     // The worker's private intra-op pool: its share of the
                     // caller's thread budget, installed as a thread-local
@@ -221,9 +218,8 @@ pub fn run_fleet<'a, R: Send>(label: &str, jobs: Vec<FleetJob<'a, R>>) -> Vec<R>
 fn run_job<R>(label: &str, idx: usize, worker: usize, threads: usize, job: FleetJob<'_, R>) -> R {
     ACTIVE_JOBS.fetch_add(1, Ordering::Relaxed);
     publish_sched_gauges();
-    // The span publishes a `sched.job` profiler frame (per-job sample
-    // attribution in `muse-trace prof`), trace span rows, and a duration
-    // histogram; it degrades to a single relaxed load when obs is off.
+    // The span roots the job's stacks in the span profile and the trace
+    // flame; it degrades to a single relaxed load when obs is off.
     let _span = obs::span("sched.job");
     let t0 = Instant::now();
     let out = job();
@@ -276,12 +272,16 @@ mod tests {
         assert_eq!(current_jobs(), before);
     }
 
+    // Every test that runs a fleet holds `obs::test_lock()`: fleets move the
+    // process-global `sched.*` counters and queue/active gauges, which
+    // `job_telemetry_accumulates_when_enabled` asserts exactly.
     fn squares(n: usize) -> Vec<FleetJob<'static, u64>> {
         (0..n).map(|i| Box::new(move || (i * i) as u64) as FleetJob<'static, u64>).collect()
     }
 
     #[test]
     fn run_fleet_preserves_submission_order() {
+        let _g = obs::test_lock();
         for jobs in [1usize, 2, 4, 9] {
             let out = with_jobs(jobs, || run_fleet("test.squares", squares(9)));
             assert_eq!(out, (0..9).map(|i| (i * i) as u64).collect::<Vec<_>>(), "jobs={jobs}");
@@ -290,6 +290,7 @@ mod tests {
 
     #[test]
     fn run_fleet_borrows_from_caller() {
+        let _g = obs::test_lock();
         let data: Vec<u64> = (0..16).collect();
         let jobs: Vec<FleetJob<'_, u64>> =
             data.chunks(4).map(|c| Box::new(move || c.iter().sum::<u64>()) as FleetJob<'_, u64>).collect();
@@ -299,6 +300,7 @@ mod tests {
 
     #[test]
     fn workers_partition_intra_op_budget() {
+        let _g = obs::test_lock();
         // Budget 4, 2 workers → each job sees a 2-thread intra-op pool.
         let seen = crate::with_threads(4, || {
             assert_eq!(partition_threads(2), 2);
@@ -316,6 +318,7 @@ mod tests {
 
     #[test]
     fn sequential_fleet_runs_inline_with_callers_pool() {
+        let _g = obs::test_lock();
         // jobs=1 must not spawn workers: the caller's thread-local pool
         // override stays visible inside every job.
         crate::with_threads(3, || {
@@ -328,6 +331,7 @@ mod tests {
 
     #[test]
     fn nested_fleet_runs_inline() {
+        let _g = obs::test_lock();
         let out = with_jobs(2, || {
             run_fleet(
                 "test.outer",
@@ -353,6 +357,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_after_other_jobs_finish() {
+        let _g = obs::test_lock();
         use std::sync::atomic::AtomicUsize;
         let survived = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {

@@ -18,7 +18,7 @@
 //! | `/alerts`              | GET    | alert rule states                        |
 //! | `/spectrum`            | GET    | detected periodicities of the window     |
 //! | `/metrics`             | GET    | Prometheus text exposition               |
-//! | `/debug/*`             | GET    | sampling profiler (muse-prof handler)    |
+//! | `/debug/profile`       | GET    | collapsed span stacks (`?seconds=N`)     |
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -152,23 +152,13 @@ fn route(request: &Request, engine: &Engine) -> (u16, &'static str, String) {
         ("GET", "/spectrum") => spectrum(engine),
         ("GET", "/metrics") => (200, METRICS_CONTENT_TYPE, obs::render_prometheus()),
         ("POST", "/ingest") => ingest(request, engine),
-        // The sampling profiler (muse-prof) owns /debug/*: the handler is
-        // shared with the muse-obs MetricsServer so both expose identical
-        // profile endpoints.
-        ("GET", p) if p.starts_with("/debug/") => match obs::serve::debug_request(request) {
-            Some(response) => response,
-            None => (
-                404,
-                TEXT_CONTENT_TYPE,
-                "profiler not running (set MUSE_PROF_HZ to enable sampling)\n".to_string(),
-            ),
-        },
+        // Shared with the muse-obs MetricsServer: both answer identically.
+        ("GET", "/debug/profile") => obs::serve::debug_profile(request),
         (
             _,
             "/healthz" | "/stats" | "/forecast" | "/metrics" | "/ingest" | "/quality" | "/alerts"
-            | "/spectrum",
+            | "/spectrum" | "/debug/profile",
         ) => (405, TEXT_CONTENT_TYPE, "method not allowed\n".to_string()),
-        (_, p) if p.starts_with("/debug/") => (405, TEXT_CONTENT_TYPE, "method not allowed\n".to_string()),
         _ => (404, TEXT_CONTENT_TYPE, "not found\n".to_string()),
     }
 }
@@ -471,16 +461,33 @@ mod tests {
     }
 
     #[test]
-    fn debug_routes_and_build_info_surface() {
+    fn debug_profile_and_build_info_surface() {
         let _g = obs::test_lock();
+        obs::enable();
         let server = boot();
         let addr = server.addr();
-        // No profiler handler installed in this test binary: /debug/* gets
-        // the self-explanatory 404, wrong methods a 405.
+        let frame_len = server.engine().info().frame_len;
+        let raw_frame: Vec<u8> = (0..frame_len).flat_map(|i| (0.1 * i as f32).to_le_bytes()).collect();
+        let (head, _) = post(addr, "/ingest", "application/octet-stream", &raw_frame);
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        // The ingest closed a `serve.ingest` span; the cumulative profile
+        // folds it without blocking.
         let (head, body) = get(addr, "/debug/profile");
-        assert!(head.starts_with("HTTP/1.1 404 "), "{head}");
-        assert!(body.contains("MUSE_PROF_HZ"), "{body}");
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        assert!(body.lines().any(|l| l.starts_with("serve.")), "{body}");
+        // Windows that are not finite, positive and capped are refused
+        // (1e300 would panic a Duration conversion), and the daemon keeps
+        // answering afterwards.
+        let over_cap = format!("{}", obs::serve::MAX_PROFILE_SECONDS + 1.0);
+        for bad in ["1e300", "inf", "NaN", "0", "-1", "bogus", over_cap.as_str()] {
+            let (head, body) = get(addr, &format!("/debug/profile?seconds={bad}"));
+            assert!(head.starts_with("HTTP/1.1 400 "), "seconds={bad}: {head}");
+            assert!(body.contains("seconds must be"), "seconds={bad}: {body}");
+        }
+        assert!(get(addr, "/metrics").0.starts_with("HTTP/1.1 200 "));
         assert!(post(addr, "/debug/profile", "text/plain", b"").0.starts_with("HTTP/1.1 405 "));
+        assert!(get(addr, "/debug/unknown").0.starts_with("HTTP/1.1 404 "));
+        obs::disable();
         // Build info set at boot shows up in /stats under "build".
         obs::serve::set_build_info(vec![
             ("version".to_string(), "0.0.0-test".to_string()),

@@ -1,112 +1,30 @@
 //! Fold span exit events into collapsed-stack flame profiles.
 //!
 //! Each `span.exit` event carries its full slash-joined path and duration,
-//! so folding is pure aggregation: total time per path, self time = total
-//! minus the totals of *direct* children. The collapsed output
-//! (`a;b;c <self_ns>` per line) is the format `flamegraph.pl` and
+//! so folding is pure aggregation: total time per path, then the shared
+//! [`muse_obs::profile`] fold (self time = total minus the totals of
+//! *direct* children) — the same one that folds a live process's span
+//! histograms on `/debug/profile` and `muse-eval --prof`. The collapsed
+//! output (`a;b;c <self_ns>` per line) is the format `flamegraph.pl` and
 //! speedscope consume directly.
 
 use crate::ingest::SpanExit;
-use std::collections::BTreeMap;
-
-/// Aggregated times for one span path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FoldedSpan {
-    /// Slash-joined path (`train.fit/train.forward/model.encode`).
-    pub path: String,
-    /// Times this span path was closed.
-    pub count: u64,
-    /// Cumulative nanoseconds, including children.
-    pub total_ns: u64,
-    /// Cumulative nanoseconds minus direct children's totals (clamped at
-    /// zero — clock jitter can make children appear to outlast parents by
-    /// nanoseconds).
-    pub self_ns: u64,
-}
+use muse_obs::profile::SpanTotals;
+pub use muse_obs::profile::{collapsed, FoldedSpan};
 
 /// Aggregate span exits into per-path totals with self time, sorted by
 /// path for determinism.
 pub fn fold(exits: &[SpanExit]) -> Vec<FoldedSpan> {
-    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // path → (count, total)
+    let mut totals = SpanTotals::new();
     for e in exits {
-        let slot = totals.entry(e.path.as_str()).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += e.dur_ns;
-    }
-    totals
-        .iter()
-        .map(|(path, &(count, total_ns))| {
-            let children_ns: u64 = totals
-                .range::<str, _>((std::ops::Bound::Excluded(*path), std::ops::Bound::Unbounded))
-                .take_while(|(p, _)| p.starts_with(*path))
-                .filter(|(p, _)| is_direct_child(path, p))
-                .map(|(_, &(_, t))| t)
-                .sum();
-            FoldedSpan {
-                path: path.to_string(),
-                count,
-                total_ns,
-                self_ns: total_ns.saturating_sub(children_ns),
+        match totals.get_mut(&e.path) {
+            Some(slot) => *slot = (slot.0 + 1, slot.1 + e.dur_ns),
+            None => {
+                totals.insert(e.path.clone(), (1, e.dur_ns));
             }
-        })
-        .collect()
-}
-
-/// Is `candidate` exactly one segment below `parent`?
-fn is_direct_child(parent: &str, candidate: &str) -> bool {
-    candidate
-        .strip_prefix(parent)
-        .and_then(|rest| rest.strip_prefix('/'))
-        .is_some_and(|tail| !tail.is_empty() && !tail.contains('/'))
-}
-
-/// Render folded spans as collapsed stacks: one `seg;seg;seg self_ns` line
-/// per path with non-zero self time, in deterministic flame order — a
-/// depth-first tree walk with siblings sorted hottest (self time) first,
-/// name as tie-break — so flame outputs of the same trace are stable and
-/// profile diffs line up row for row.
-pub fn collapsed(folded: &[FoldedSpan]) -> String {
-    let rows: Vec<(&str, u64)> = folded.iter().map(|f| (f.path.as_str(), f.self_ns)).collect();
-    let mut out = String::new();
-    for idx in tree_order_indices(&rows, '/') {
-        let span = &folded[idx];
-        if span.self_ns == 0 {
-            continue;
-        }
-        out.push_str(&span.path.replace('/', ";"));
-        out.push(' ');
-        out.push_str(&span.self_ns.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Deterministic flame ordering over `(path, self_weight)` rows: indices in
-/// depth-first tree order, siblings sorted by self weight descending then
-/// path. Rows whose parent path is absent are treated as roots. Shared by
-/// the span-event flame ('/'-separated paths) and `muse-trace prof`
-/// (';'-separated folded stacks).
-pub fn tree_order_indices(rows: &[(&str, u64)], sep: char) -> Vec<usize> {
-    let by_path: BTreeMap<&str, usize> = rows.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
-    // parent index (or None for roots) → children indices.
-    let mut children: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
-    for (i, (path, _)) in rows.iter().enumerate() {
-        let parent = path.rfind(sep).and_then(|cut| by_path.get(&path[..cut]).copied());
-        children.entry(parent).or_default().push(i);
-    }
-    for siblings in children.values_mut() {
-        siblings.sort_by(|&a, &b| rows[b].1.cmp(&rows[a].1).then_with(|| rows[a].0.cmp(rows[b].0)));
-    }
-    let mut order = Vec::with_capacity(rows.len());
-    let mut stack: Vec<usize> = children.get(&None).cloned().unwrap_or_default();
-    stack.reverse();
-    while let Some(idx) = stack.pop() {
-        order.push(idx);
-        if let Some(kids) = children.get(&Some(idx)) {
-            stack.extend(kids.iter().rev());
         }
     }
-    order
+    muse_obs::profile::fold(&totals)
 }
 
 /// Folded spans ranked by self time, descending (path as tie-break).

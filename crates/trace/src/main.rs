@@ -7,7 +7,7 @@
 //! muse-trace promcheck <file|->                     validate /metrics output
 //! muse-trace quality <trace.jsonl>                  serve-path quality story
 //! muse-trace spectrum <trace.jsonl>                 period-drift story
-//! muse-trace prof <p.folded> [--out <file>]         sampled-profile report
+//! muse-trace prof <p.folded> [--out <file>]         span-profile report
 //! muse-trace prof diff <base.folded> <new.folded> [tol]  share diff
 //! ```
 //!
