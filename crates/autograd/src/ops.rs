@@ -8,7 +8,7 @@
 //! gradients back to operand shape with `Tensor::sum_to`.
 
 use crate::tape::{Tape, Var};
-use muse_tensor::conv::{conv2d, conv2d_backward};
+use muse_tensor::conv::{conv2d, conv2d_backward, conv2d_param_backward};
 use muse_tensor::{Conv2dSpec, Tensor};
 
 /// Compute a binary forward value from two recorded nodes without cloning
@@ -282,8 +282,14 @@ impl<'t> Var<'t> {
             "conv2d",
             out,
             Some(Box::new(move |ctx, sink| {
-                let (gx, gw, gb) = conv2d_backward(ctx.value(lx), ctx.value(lw), ctx.grad(), &spec);
-                sink.add_owned(lx, gx);
+                let (x, w, g) = (ctx.value(lx), ctx.value(lw), ctx.grad());
+                let (gw, gb) = if ctx.is_constant(lx) {
+                    conv2d_param_backward(x, w, g, &spec)
+                } else {
+                    let (gx, gw, gb) = conv2d_backward(x, w, g, &spec);
+                    sink.add_owned(lx, gx);
+                    (gw, gb)
+                };
                 sink.add_owned(lw, gw);
                 if let Some(lb) = lb {
                     sink.add_owned(lb, gb);
@@ -530,6 +536,40 @@ mod tests {
         assert_eq!(grads.get(x).unwrap().dims(), &[1, 1, 4, 4]);
         assert_eq!(grads.get(w).unwrap().dims(), &[1, 1, 3, 3]);
         assert_eq!(grads.get(b).unwrap().as_slice(), &[16.0]);
+    }
+
+    #[test]
+    fn conv2d_over_a_constant_gives_it_no_gradient() {
+        // The same graph with the input as a constant and as a leaf: the
+        // constant gets no gradient slot, and the parameter gradients keep
+        // every bit. The tanh and the constant-weighted product make the
+        // upstream gradient non-uniform; the 8x10 grid has more than 32
+        // output cells per channel.
+        let mut rng = muse_tensor::init::SeededRng::new(23);
+        let spec = Conv2dSpec::same(3, 4, 3);
+        let xv = Tensor::rand_uniform(&mut rng, &[2, 3, 8, 10], -1.0, 1.0);
+        let wv = Tensor::rand_uniform(&mut rng, &[4, 3, 3, 3], -0.5, 0.5);
+        let bv = Tensor::rand_uniform(&mut rng, &[4], -0.1, 0.1);
+        let mv = Tensor::rand_uniform(&mut rng, &[2, 4, 8, 10], -1.0, 1.0);
+        let run = |constant_input: bool| {
+            let tape = Tape::new();
+            let x = if constant_input { tape.constant(xv.clone()) } else { tape.leaf(xv.clone()) };
+            let (w, b) = (tape.leaf(wv.clone()), tape.leaf(bv.clone()));
+            let mask = tape.constant(mv.clone());
+            let loss = x.conv2d(&w, Some(&b), spec).tanh().mul(&mask).sum();
+            let grads = tape.backward(loss);
+            assert!(grads.get(mask).is_none(), "a constant operand of mul must get no gradient");
+            let bits = |v| {
+                grads.get(v).map(|g: &Tensor| g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            (bits(x), bits(w).unwrap(), bits(b).unwrap())
+        };
+        let (gx_const, gw_const, gb_const) = run(true);
+        let (gx_leaf, gw_leaf, gb_leaf) = run(false);
+        assert!(gx_const.is_none(), "a constant conv input must get no gradient");
+        assert!(gx_leaf.is_some(), "a leaf conv input gets its gradient");
+        assert_eq!(gw_const, gw_leaf, "weight gradient bits depend on whether the input is a constant");
+        assert_eq!(gb_const, gb_leaf, "bias gradient bits depend on whether the input is a constant");
     }
 
     #[test]

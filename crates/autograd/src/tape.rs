@@ -10,12 +10,21 @@ use std::cell::RefCell;
 /// a node allocates nothing beyond its forward value.
 pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>)>;
 
+/// Op name of [`Tape::constant`] nodes.
+const CONSTANT_OP: &str = "const";
+
 pub(crate) struct Node {
     /// Short op name ("add", "matmul", …) for backward-time attribution.
     pub(crate) op: &'static str,
     pub(crate) value: Tensor,
     /// `None` for leaves and constants.
     pub(crate) backward: Option<BackwardFn>,
+}
+
+impl Node {
+    fn is_constant(&self) -> bool {
+        self.op == CONSTANT_OP
+    }
 }
 
 /// Read-only view handed to backward closures: the recorded nodes (for
@@ -43,6 +52,12 @@ impl<'a> BackwardCtx<'a> {
     pub(crate) fn out(&self) -> &'a Tensor {
         &self.nodes[self.id].value
     }
+
+    /// Whether node `id` is a [`Tape::constant`]. The sink drops gradients
+    /// sent to constants, so closures may skip computing them.
+    pub(crate) fn is_constant(&self, id: usize) -> bool {
+        self.nodes[id].is_constant()
+    }
 }
 
 /// Accumulator for parent gradients during the reverse sweep. Only slots for
@@ -51,53 +66,69 @@ impl<'a> BackwardCtx<'a> {
 ///
 /// All helpers accumulate **in place** when a slot already holds a gradient
 /// (no `old + piece` temporary), and all fused forms are bit-identical to
-/// materializing the piece and calling `Tensor::add_assign`.
+/// materializing the piece and calling `Tensor::add_assign`. Gradients sent
+/// to a [`Tape::constant`] are dropped without being computed.
 pub(crate) struct GradSink<'a> {
     grads: &'a mut [Option<Tensor>],
+    nodes: &'a [Node],
 }
 
 impl GradSink<'_> {
+    /// The gradient slot of node `id`, or `None` for a constant.
+    fn slot(&mut self, id: usize) -> Option<&mut Option<Tensor>> {
+        if self.nodes[id].is_constant() {
+            None
+        } else {
+            Some(&mut self.grads[id])
+        }
+    }
+
     /// `grads[id] += piece`, cloning only when the slot is empty.
     pub(crate) fn add(&mut self, id: usize, piece: &Tensor) {
-        match &mut self.grads[id] {
-            Some(acc) => acc.add_assign(piece),
-            slot @ None => *slot = Some(piece.clone()),
+        match self.slot(id) {
+            Some(Some(acc)) => acc.add_assign(piece),
+            Some(slot) => *slot = Some(piece.clone()),
+            None => {}
         }
     }
 
     /// `grads[id] += piece`, consuming the piece (moved into an empty slot).
     pub(crate) fn add_owned(&mut self, id: usize, piece: Tensor) {
-        match &mut self.grads[id] {
-            Some(acc) => acc.add_assign(&piece),
-            slot @ None => *slot = Some(piece),
+        match self.slot(id) {
+            Some(Some(acc)) => acc.add_assign(&piece),
+            Some(slot) => *slot = Some(piece),
+            None => {}
         }
     }
 
     /// `grads[id] += s * piece` without materializing the scaled tensor.
     pub(crate) fn add_scaled(&mut self, id: usize, piece: &Tensor, s: f32) {
-        match &mut self.grads[id] {
-            Some(acc) => acc.axpy_assign(s, piece),
-            slot @ None => *slot = Some(piece.mul_scalar(s)),
+        match self.slot(id) {
+            Some(Some(acc)) => acc.axpy_assign(s, piece),
+            Some(slot) => *slot = Some(piece.mul_scalar(s)),
+            None => {}
         }
     }
 
     /// `grads[id] += f(a, b)` elementwise (equal shapes) without the
     /// intermediate `zip_with` tensor when accumulating.
     pub(crate) fn add_zip(&mut self, id: usize, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) {
-        match &mut self.grads[id] {
-            Some(acc) => acc.accum_zip(a, b, &f),
-            slot @ None => *slot = Some(a.zip_with(b, &f)),
+        match self.slot(id) {
+            Some(Some(acc)) => acc.accum_zip(a, b, &f),
+            Some(slot) => *slot = Some(a.zip_with(b, &f)),
+            None => {}
         }
     }
 
     /// `grads[id] += full(dims, v)` without materializing the constant.
     pub(crate) fn add_splat(&mut self, id: usize, dims: &[usize], v: f32) {
-        match &mut self.grads[id] {
-            Some(acc) => {
+        match self.slot(id) {
+            Some(Some(acc)) => {
                 debug_assert_eq!(acc.dims(), dims, "add_splat shape mismatch");
                 acc.map_inplace(|x| x + v);
             }
-            slot @ None => *slot = Some(Tensor::full(dims, v)),
+            Some(slot) => *slot = Some(Tensor::full(dims, v)),
+            None => {}
         }
     }
 
@@ -106,7 +137,7 @@ impl GradSink<'_> {
     pub(crate) fn add_sum_to(&mut self, id: usize, g: &Tensor, dims: &[usize]) {
         if g.dims() == dims {
             self.add(id, g);
-        } else {
+        } else if self.slot(id).is_some() {
             self.add_owned(id, g.sum_to(dims));
         }
     }
@@ -115,7 +146,7 @@ impl GradSink<'_> {
     pub(crate) fn add_sum_to_scaled(&mut self, id: usize, g: &Tensor, dims: &[usize], s: f32) {
         if g.dims() == dims {
             self.add_scaled(id, g, s);
-        } else {
+        } else if self.slot(id).is_some() {
             self.add_owned(id, g.mul_scalar(s).sum_to(dims));
         }
     }
@@ -123,33 +154,35 @@ impl GradSink<'_> {
     /// Scatter `g` into the flat element range `[start_el, start_el + g.len())`
     /// of a `dims`-shaped gradient (the inverse of a contiguous slice).
     pub(crate) fn add_range(&mut self, id: usize, dims: &[usize], start_el: usize, g: &Tensor) {
-        match &mut self.grads[id] {
-            Some(acc) => {
+        match self.slot(id) {
+            Some(Some(acc)) => {
                 debug_assert_eq!(acc.dims(), dims, "add_range shape mismatch");
                 let dst = &mut acc.as_mut_slice()[start_el..start_el + g.len()];
                 for (d, &s) in dst.iter_mut().zip(g.as_slice()) {
                     *d += s;
                 }
             }
-            slot @ None => {
+            Some(slot) => {
                 let mut grad = Tensor::zeros(dims);
                 grad.as_mut_slice()[start_el..start_el + g.len()].copy_from_slice(g.as_slice());
                 *slot = Some(grad);
             }
+            None => {}
         }
     }
 
     /// `grads[id] += g` where `g` has the same element count but a different
     /// shape (reshape backward); accumulation ignores shape.
     pub(crate) fn add_flat(&mut self, id: usize, g: &Tensor, dims: &[usize]) {
-        match &mut self.grads[id] {
-            Some(acc) => {
+        match self.slot(id) {
+            Some(Some(acc)) => {
                 debug_assert_eq!(acc.len(), g.len(), "add_flat length mismatch");
                 for (d, &s) in acc.as_mut_slice().iter_mut().zip(g.as_slice()) {
                     *d += s;
                 }
             }
-            slot @ None => *slot = Some(g.reshaped(dims)),
+            Some(slot) => *slot = Some(g.reshaped(dims)),
+            None => {}
         }
     }
 }
@@ -170,6 +203,9 @@ pub struct Tape {
     /// Inference mode: backward closures are dropped at record time and
     /// [`Tape::backward`] is unavailable.
     forward_only: bool,
+    /// `autograd.backward.<op>` histogram per op name, resolved once so the
+    /// telemetry-on reverse sweep formats no names.
+    op_histograms: RefCell<Vec<(&'static str, &'static obs::Histogram)>>,
 }
 
 /// A handle to a value recorded on a [`Tape`].
@@ -265,10 +301,11 @@ impl Tape {
         self.push("leaf", value, None)
     }
 
-    /// Record a constant. Structurally identical to a leaf — the distinction
-    /// is for readers: constants never have their gradients read.
+    /// Record a constant: an input that receives no gradient. Backward
+    /// closures skip or drop every gradient sent to it, so
+    /// [`Gradients::get`] returns `None` for a constant.
     pub fn constant(&self, value: Tensor) -> Var<'_> {
-        self.push("const", value, None)
+        self.push(CONSTANT_OP, value, None)
     }
 
     /// Reconstruct a [`Var`] handle from a node id previously obtained via
@@ -317,19 +354,27 @@ impl Tape {
                     // topologically ordered by construction.
                     let (lower, _) = grads.split_at_mut(id);
                     let ctx = BackwardCtx { nodes: &nodes, id, grad: &grad };
-                    let mut sink = GradSink { grads: lower };
+                    let mut sink = GradSink { grads: lower, nodes: &nodes };
                     back(&ctx, &mut sink);
                 }
                 if let Some(t0) = t0 {
-                    obs::record_duration(
-                        &format!("autograd.backward.{}", nodes[id].op),
-                        t0.elapsed().as_nanos() as u64,
-                    );
+                    self.op_histogram(nodes[id].op).record(t0.elapsed().as_nanos() as f64);
                 }
             }
             grads[id] = Some(grad);
         }
         Gradients { grads, tape: self }
+    }
+
+    /// The `autograd.backward.<op>` histogram, cached per op name.
+    fn op_histogram(&self, op: &'static str) -> &'static obs::Histogram {
+        let mut cache = self.op_histograms.borrow_mut();
+        if let Some(&(_, h)) = cache.iter().find(|(o, _)| std::ptr::eq(*o, op)) {
+            return h;
+        }
+        let h = obs::metrics::histogram_owned(&format!("autograd.backward.{op}"));
+        cache.push((op, h));
+        h
     }
 }
 
@@ -451,6 +496,34 @@ mod tests {
         // And the same inference tape is reusable across requests.
         infer.reset();
         assert_eq!(run(&train).as_slice(), run(&infer).as_slice());
+    }
+
+    #[test]
+    fn backward_times_each_op_under_its_histogram_name() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let loss = x.mul(&x).mul(&x).sum();
+        {
+            let _g = obs::test_lock();
+            let was = obs::enabled();
+            obs::enable();
+            for _ in 0..3 {
+                drop(tape.backward(loss));
+            }
+            if !was {
+                obs::disable();
+            }
+        }
+        // One cache entry per op name swept, each the registry's
+        // `autograd.backward.<op>` histogram.
+        let cache = tape.op_histograms.borrow();
+        let mut ops: Vec<&str> = cache.iter().map(|(op, _)| *op).collect();
+        ops.sort_unstable();
+        assert_eq!(ops, ["mul", "sum"]);
+        for (op, h) in cache.iter() {
+            let named = obs::metrics::histogram_owned(&format!("autograd.backward.{op}"));
+            assert!(std::ptr::eq(*h, named), "{op} cached under another name");
+        }
     }
 
     #[test]

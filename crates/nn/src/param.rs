@@ -129,7 +129,9 @@ impl<'t> Session<'t> {
         var
     }
 
-    /// Record a constant input (no gradient routing).
+    /// Record a constant input. It receives no gradient: convolutions over it
+    /// skip their input-gradient half, and `Gradients::get` returns `None`
+    /// for it.
     pub fn input(&self, value: Tensor) -> Var<'t> {
         self.tape.constant(value)
     }

@@ -95,15 +95,6 @@ pub fn kernel_timer(name: &'static str, bytes: u64) -> metrics::KernelTimer {
     }
 }
 
-/// Record a named duration into the histogram registry (used for per-op
-/// backward attribution, where names are composed at runtime).
-#[inline]
-pub fn record_duration(name: &str, nanos: u64) {
-    if enabled() {
-        metrics::histogram_owned(name).record(nanos as f64);
-    }
-}
-
 /// Human console summary of every registered metric, sorted by name.
 /// Kernel stats are ranked by cumulative time so the dominant kernel is
 /// obvious at a glance.

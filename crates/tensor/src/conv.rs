@@ -1,5 +1,11 @@
-//! 2-D convolution kernels (im2col/col2im based), with explicit backward
-//! functions used by the autograd layer.
+//! 2-D convolution kernels, with explicit backward functions used by the
+//! autograd layer. The forward pass unfolds each sample with im2col and
+//! runs `W · cols`. The backward pass unfolds it with im2row
+//! (`[OH·OW, C·KH·KW]`) and computes `dW_s = go_s · rows` with the
+//! lane-exact `A·Bᵀ` kernel [`crate::linalg::gemm_bt_rows`], so every
+//! weight-gradient element is the canonical [`simd::dot`] reduction over
+//! output cells, vectorised across `C·KH·KW`. The input gradient is
+//! `col2im(Wᵀ · go)` and is skipped entirely by [`conv2d_param_backward`].
 //!
 //! Layout conventions (matching the paper's `2×H×W` flow tensors batched to
 //! NCHW):
@@ -111,6 +117,57 @@ pub fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec,
                 }
             }
         }
+    }
+}
+
+/// Unfold one `[C, H, W]` image into rows `[OH*OW, C*KH*KW]`: the
+/// transpose of [`im2col_into`]'s layout, writing every element of `out`.
+/// Each `(cell, channel, kernel row)` run of `KW` values is contiguous in
+/// the zero-padded image, so after padding the unfold is plain copies.
+pub fn im2row_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
+    let (kh, kw) = spec.kernel;
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let (oh, ow) = spec.output_hw(h, w);
+    let ksize = c * kh * kw;
+    assert_eq!(out.len(), oh * ow * ksize, "im2row_into buffer size mismatch");
+    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+    let padded = (ph > 0 || pw > 0).then(|| {
+        let mut p = take_zeroed(c * hp * wp);
+        for (prow, src) in
+            (0..c).flat_map(|ch| (0..h).map(move |i| (ch * hp + ph + i) * wp + pw)).zip(img.chunks(w))
+        {
+            p[prow..prow + w].copy_from_slice(src);
+        }
+        p
+    });
+    let src: &[f32] = match &padded {
+        Some(p) => p,
+        None => img,
+    };
+    // Run `(ch, ki)` of a cell starts `(ch * hp + ki) * wp` past the cell's
+    // top-left tap in the padded image.
+    let runs = (0..c).flat_map(|ch| (0..kh).map(move |ki| (ch * hp + ki) * wp));
+    for (cell, row) in out.chunks_exact_mut(ksize).enumerate() {
+        let tap = (cell / ow) * sh * wp + (cell % ow) * sw;
+        match kw {
+            // Fixed-width copies for the kernels this project uses.
+            1 => copy_runs::<1>(src, tap, runs.clone(), row),
+            3 => copy_runs::<3>(src, tap, runs.clone(), row),
+            _ => {
+                for (run, off) in row.chunks_exact_mut(kw).zip(runs.clone()) {
+                    run.copy_from_slice(&src[tap + off..][..kw]);
+                }
+            }
+        }
+    }
+}
+
+/// Copy the `KW`-wide runs at `tap + off` for each `off` into `row`.
+fn copy_runs<const KW: usize>(src: &[f32], tap: usize, offs: impl Iterator<Item = usize>, row: &mut [f32]) {
+    for (run, off) in row.chunks_exact_mut(KW).zip(offs) {
+        let run: &mut [f32; KW] = run.try_into().expect("KW-wide run");
+        *run = src[tap + off..][..KW].try_into().expect("KW-wide source");
     }
 }
 
@@ -238,6 +295,30 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: &Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
+    let (gx, gw, gb) = backward(input, weight, grad_out, spec, true);
+    (gx.expect("input gradient requested"), gw, gb)
+}
+
+/// [`conv2d_backward`] without the input gradient, for inputs that receive
+/// none (tape constants). Returns `(grad_weight, grad_bias)`, bit-identical
+/// to the full backward's.
+pub fn conv2d_param_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> (Tensor, Tensor) {
+    let (_, gw, gb) = backward(input, weight, grad_out, spec, false);
+    (gw, gb)
+}
+
+fn backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    want_input: bool,
+) -> (Option<Tensor>, Tensor, Tensor) {
     let dims = input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     let (oh, ow) = spec.output_hw(h, w);
@@ -252,15 +333,20 @@ pub fn conv2d_backward(
     let wmat = weight.as_slice();
     let input_s = input.as_slice();
     let go_all = grad_out.as_slice();
-    let mut grad_input = crate::arena::take_zeroed(n * chw); // col2im accumulates into zeroes
-                                                             // Per-sample partials: each job owns one slot, the fold below walks the
-                                                             // slots in sample order so the accumulation association never depends
-                                                             // on how jobs were scheduled. Every slot is fully assigned (gemm_bt
-                                                             // assigns, db is a plain store), so recycled contents are fine.
+    // col2im accumulates into zeroes.
+    let mut grad_input = want_input.then(|| crate::arena::take_zeroed(n * chw));
+    let gi_slots: Vec<Option<&mut [f32]>> = match grad_input.as_deref_mut() {
+        Some(gi) => gi.chunks_mut(chw).map(Some).collect(),
+        None => (0..n).map(|_| None).collect(),
+    };
+    // Per-sample partials: each job owns one slot, the fold below walks the
+    // slots in sample order so the accumulation association never depends
+    // on how jobs were scheduled. Every slot is fully assigned (gemm_bt
+    // assigns, db is a plain store), so recycled contents are fine.
     let mut dw_all = crate::arena::take_uninit(n * oc * ksize);
     let mut db_all = crate::arena::take_uninit(n * oc);
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = grad_input
-        .chunks_mut(chw)
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = gi_slots
+        .into_iter()
         .zip(dw_all.chunks_mut(oc * ksize))
         .zip(db_all.chunks_mut(oc))
         .enumerate()
@@ -268,18 +354,20 @@ pub fn conv2d_backward(
             Box::new(move || {
                 let img = &input_s[s * chw..][..chw];
                 let go = &go_all[s * oc * ohw..][..oc * ohw];
-                let mut cols = take_uninit(ksize * ohw); // im2col_into writes every element
-                im2col_into(img, c, h, w, spec, &mut cols);
-                // dW_s = go x cols^T
-                gemm_bt_rows(go, &cols, dw, 0, ohw, ksize);
+                let mut rows = take_uninit(ohw * ksize); // im2row_into writes every element
+                im2row_into(img, c, h, w, spec, &mut rows);
+                // dW_s = go x rows, one canonical dot over output cells per element
+                gemm_bt_rows(go, &rows, dw, 0, ohw, ksize);
                 // db_s = rowsum(go), canonical lane reduction per row
                 for (ocx, d) in db.iter_mut().enumerate() {
                     *d = simd::sum(&go[ocx * ohw..][..ohw]);
                 }
                 // dX_s = col2im(W^T x go)
-                let mut dcols = take_zeroed(ksize * ohw);
-                gemm_at_rows(wmat, go, &mut dcols, 0, oc, ksize, ohw);
-                col2im_into(&dcols, c, h, w, spec, gi);
+                if let Some(gi) = gi {
+                    let mut dcols = take_zeroed(ksize * ohw);
+                    gemm_at_rows(wmat, go, &mut dcols, 0, oc, ksize, ohw);
+                    col2im_into(&dcols, c, h, w, spec, gi);
+                }
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
@@ -295,7 +383,7 @@ pub fn conv2d_backward(
     crate::arena::recycle(dw_all);
     crate::arena::recycle(db_all);
     (
-        Tensor::from_vec(grad_input, dims),
+        grad_input.map(|gi| Tensor::from_vec(gi, dims)),
         Tensor::from_vec(grad_wmat, &[oc, spec.in_channels, spec.kernel.0, spec.kernel.1]),
         Tensor::from_vec(grad_bias, &[oc]),
     )

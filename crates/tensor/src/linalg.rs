@@ -6,14 +6,19 @@
 //! [`gemm_bt_rows`], [`gemm_at_rows`]). The micro-kernels process output
 //! rows in register tiles of four (one read of each B row feeds four
 //! output rows) and block the shared `k` dimension so the streamed operand
-//! stays in cache.
+//! stays in cache. `matmul_bt` transposes B once and runs the `A·Bᵀ` tile
+//! over it.
 //!
-//! **Determinism:** each output element is accumulated left-to-right over
-//! ascending `p` (the shared dimension) no matter how rows are tiled or
-//! partitioned across threads, so results are bit-identical for any
-//! `MUSE_THREADS` value — and identical to the single-threaded kernel.
-//! There is no `x == 0.0` skip anywhere: IEEE edge cases (`0.0 * INF` is
-//! `NaN`) propagate exactly as in [`matmul_reference`].
+//! **Determinism:** the association of every output element is fixed by
+//! the data shape alone, never by row tiling, thread partitioning or SIMD
+//! level, so results are bit-identical for any `MUSE_THREADS` value and
+//! with `MUSE_SIMD` on or off. `A·B` and `Aᵀ·B` accumulate left to right
+//! over ascending `p` (the shared dimension) from +0.0. `A·Bᵀ` reproduces
+//! the lane association of [`simd::dot`] (lane `l` sums the terms
+//! `p ≡ l (mod LANES)`, the lanes are then summed in order), which for
+//! `k ≤ LANES` is the same left-to-right sum. There is no `x == 0.0` skip
+//! anywhere: IEEE edge cases (`0.0 * INF` is `NaN`) propagate exactly as
+//! in [`matmul_reference`].
 
 use crate::simd;
 use crate::tensor::Tensor;
@@ -76,58 +81,29 @@ pub fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: 
     }
 }
 
-/// Compute output rows `[i0, i0 + out.len()/n)` of `C = A·Bᵀ` into `out`.
-/// `a` is `[m,k]` row-major, `b` is `[n,k]` (so C's column `j` dots A rows
-/// with B row `j`). Every element is one [`simd::dot`] — the canonical
-/// lane-structured reduction, bit-identical at every SIMD level and thread
-/// count.
-pub fn gemm_bt_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
+/// Compute output rows `[i0, i0 + out.len()/n)` of `C = A·Bᵀ` into `out`,
+/// assigning every element. `a` is `[m,k]` row-major and `bt` is `Bᵀ`, a
+/// `[k,n]` row-major matrix (so C's column `j` dots A rows with B row `j`).
+/// Every element equals [`simd::dot`] of its A row and B row bit for bit,
+/// for every `k` (the tile kernel `simd::gemm_bt_tile` gives the argument).
+pub fn gemm_bt_rows(a: &[f32], bt: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     debug_assert_eq!(out.len(), rows * n);
-    for r in 0..rows {
-        let arow = &a[(i0 + r) * k..][..k];
-        let orow = &mut out[r * n..(r + 1) * n];
-        if k < simd::LANES {
-            // Inner dimension shorter than the canonical reduction's lane
-            // count: the vector dot would run entirely in its tail. The
-            // four-column interleaved tile (four independent sequential
-            // accumulators) wins here, and both dispatch paths share this
-            // exact code, so SIMD on/off stays bit-identical.
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &b[j * k..][..k];
-                let b1 = &b[(j + 1) * k..][..k];
-                let b2 = &b[(j + 2) * k..][..k];
-                let b3 = &b[(j + 3) * k..][..k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((&av, &v0), &v1), &v2), &v3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-                    s0 += av * v0;
-                    s1 += av * v1;
-                    s2 += av * v2;
-                    s3 += av * v3;
-                }
-                orow[j] = s0;
-                orow[j + 1] = s1;
-                orow[j + 2] = s2;
-                orow[j + 3] = s3;
-                j += 4;
-            }
-            for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-                let brow = &b[jj * k..][..k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        } else {
-            for (jj, o) in orow.iter_mut().enumerate() {
-                *o = simd::dot(arow, &b[jj * k..][..k]);
-            }
-        }
+    let arow = |r: usize| &a[(i0 + r) * k..][..k];
+    let mut r = 0;
+    while r + MR <= rows {
+        let (block, _) = out[r * n..].split_at_mut(MR * n);
+        let (o0, rest) = block.split_at_mut(n);
+        let (o1, rest) = rest.split_at_mut(n);
+        let (o2, o3) = rest.split_at_mut(n);
+        simd::gemm_bt_tile([arow(r), arow(r + 1), arow(r + 2), arow(r + 3)], k, bt, n, [o0, o1, o2, o3]);
+        r += MR;
+    }
+    for rr in r..rows {
+        simd::gemm_bt_tile([arow(rr)], k, bt, n, [&mut out[rr * n..(rr + 1) * n]]);
     }
 }
 
@@ -198,8 +174,15 @@ impl Tensor {
         let _t = obs::kernel_timer("tensor.matmul_bt", f32_bytes(m * k + k * n + m * n));
         let a = self.as_slice();
         let b = rhs.as_slice();
+        let mut bt = crate::arena::take_uninit(k * n); // every element assigned below
+        for j in 0..n {
+            for p in 0..k {
+                bt[p * n + j] = b[j * k + p];
+            }
+        }
         let mut out = crate::arena::take_uninit(m * n); // gemm_bt_rows assigns every element
-        dispatch_rows(&mut out, n, m * k * n, |i0, chunk| gemm_bt_rows(a, b, chunk, i0, k, n));
+        dispatch_rows(&mut out, n, m * k * n, |i0, chunk| gemm_bt_rows(a, &bt, chunk, i0, k, n));
+        crate::arena::recycle(bt);
         Tensor::from_vec(out, &[m, n])
     }
 

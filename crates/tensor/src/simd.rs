@@ -16,7 +16,9 @@
 //!   expression, so lane width is unobservable.
 //! * **Accumulating kernels** (`gemm_tile4` & friends) vectorize along the
 //!   *output* axis: each output element still receives its contributions in
-//!   ascending-`p` order, exactly like the scalar loop.
+//!   ascending-`p` order, exactly like the scalar loop. `gemm_bt_tile`
+//!   (`A·Bᵀ`) also vectorizes along the output axis, but each element
+//!   follows the lane association of [`dot`] below.
 //! * **Reductions** (`sum`, `dot`, `sse`, `sum_squares`, `sum_sq_dev`) use a
 //!   fixed [`LANES`]-wide accumulator layout: lane `l` sums elements
 //!   `l, l+LANES, l+2·LANES, …`, the tail folds into lanes `0..r`, and the
@@ -535,6 +537,75 @@ pub fn gemm_tile1_at(
         return unsafe { avx2::gemm_tile1_at(a, astride, base, p0, p1, b, n, orow) };
     }
     gemm_tile1_at_scalar(a, astride, base, p0, p1, b, n, orow)
+}
+
+/// Column block of the scalar `A·Bᵀ` twin.
+const BT_COLS: usize = 16;
+
+/// Columns `j0..j0 + out.len()` of one `A·Bᵀ` row (see [`gemm_bt_tile`]).
+/// Blocks of [`BT_COLS`] columns keep the lane partials in a stack array.
+fn gemm_bt_cols_scalar(arow: &[f32], k: usize, b: &[f32], n: usize, j0: usize, out: &mut [f32]) {
+    for (jb, oblk) in (j0..).step_by(BT_COLS).zip(out.chunks_mut(BT_COLS)) {
+        let w = oblk.len();
+        oblk.fill(0.0);
+        let mut part = [0.0f32; BT_COLS];
+        for l in 0..k.min(LANES) {
+            let (v, brow) = (arow[l], &b[l * n + jb..][..w]);
+            for (c, &bv) in part.iter_mut().zip(brow) {
+                *c = v * bv;
+            }
+            for p in (l + LANES..k).step_by(LANES) {
+                let (v, brow) = (arow[p], &b[p * n + jb..][..w]);
+                for (c, &bv) in part.iter_mut().zip(brow) {
+                    *c += v * bv;
+                }
+            }
+            for (o, &c) in oblk.iter_mut().zip(&part) {
+                *o += c;
+            }
+        }
+    }
+}
+
+/// An `R`-row tile of `C = A·Bᵀ`, assigning every `o[r][j]`. `b` holds
+/// `Bᵀ` as a `[k, n]` row-major matrix, so `o[r][j]` is the dot of A row
+/// `r` with column `j` of `b`, and it equals [`dot`] of those two vectors
+/// bit for bit, for every `k`.
+///
+/// `dot` gives lane `l` the terms `p ≡ l (mod LANES)` summed from +0.0 and
+/// then adds the lanes left to right into a +0.0 start. Here lane `l`'s
+/// partial starts at its first product instead of `0.0 + product`; the
+/// two differ at most in the sign of a zero partial, and adding either
+/// zero to the running total gives the same bits, because a total that
+/// starts at +0.0 is never -0.0. Lanes past `k` are +0.0 in `dot` and are
+/// skipped here. A lane with one term (every lane when `k ≤ LANES`) costs
+/// one multiply and one add, like a plain `A·B` update.
+///
+/// Panics unless every A row holds at least `k` values, every output row
+/// exactly `n`, and `b` at least `k · n`.
+pub(crate) fn gemm_bt_tile<const R: usize>(
+    a: [&[f32]; R],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    o: [&mut [f32]; R],
+) {
+    assert!(b.len() >= k * n, "gemm_bt_tile: b holds {} values, needs {k} x {n}", b.len());
+    for (arow, orow) in a.iter().zip(&o) {
+        assert!(
+            arow.len() >= k && orow.len() == n,
+            "gemm_bt_tile: row shorter than k = {k} or output row not n = {n}"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // SAFETY: `use_avx2` confirmed the CPU features, and the asserts
+        // above are the bounds the kernel's unchecked reads and writes need.
+        return unsafe { avx2::gemm_bt_tile(a, k, b, n, o) };
+    }
+    for (arow, orow) in a.into_iter().zip(o) {
+        gemm_bt_cols_scalar(arow, k, b, n, 0, orow);
+    }
 }
 
 // --------------------------------------------------- fused bias+activation
@@ -1137,6 +1208,100 @@ mod avx2 {
                 x += *ap.add(p * astride + base) * *bp.add(p * n + jj);
             }
             orow[jj] = x;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; every `a[r]` holds at least `k` values, every
+    /// `o[r]` exactly `n`, and `b` at least `k · n`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm_bt_tile<const R: usize>(
+        a: [&[f32]; R],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        mut o: [&mut [f32]; R],
+    ) {
+        let mut j = 0usize;
+        // SAFETY (both blocks): columns `j..j + C·8` lie inside `0..n`.
+        while j + 2 * W <= n {
+            gemm_bt_block::<R, 2>(&a, k, b, n, j, &mut o);
+            j += 2 * W;
+        }
+        if j + W <= n {
+            gemm_bt_block::<R, 1>(&a, k, b, n, j, &mut o);
+            j += W;
+        }
+        if j < n {
+            for (arow, orow) in a.into_iter().zip(o) {
+                super::gemm_bt_cols_scalar(arow, k, b, n, j, &mut orow[j..]);
+            }
+        }
+    }
+
+    /// Columns `j..j + C·8` of an `R`-row `A·Bᵀ` tile. The `R × C` running
+    /// totals stay in registers across all lanes; one lane's `R` partials
+    /// are built per column vector and folded in at once (`R ≤ 4`, `C ≤ 2`
+    /// fits the sixteen vector registers).
+    ///
+    /// # Safety
+    ///
+    /// As for [`gemm_bt_tile`], and `j + C·8 ≤ n`.
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_bt_block<const R: usize, const C: usize>(
+        a: &[&[f32]; R],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        j: usize,
+        o: &mut [&mut [f32]; R],
+    ) {
+        let bp = b.as_ptr().add(j);
+        let mut total = [[_mm256_setzero_ps(); C]; R];
+        // Lanes `0..multi` hold two or more terms, the rest of `0..min(k,
+        // LANES)` exactly one. Two loops keep each lane's registers apart.
+        let multi = k.saturating_sub(LANES).min(LANES);
+        for l in 0..multi {
+            for c in 0..C {
+                let bv = _mm256_loadu_ps(bp.add(l * n + c * W));
+                let mut part = [_mm256_setzero_ps(); R];
+                for r in 0..R {
+                    part[r] = _mm256_mul_ps(_mm256_set1_ps(*a[r].get_unchecked(l)), bv);
+                }
+                let mut p = l + LANES;
+                while p < k {
+                    let bv = _mm256_loadu_ps(bp.add(p * n + c * W));
+                    for r in 0..R {
+                        let prod = _mm256_mul_ps(_mm256_set1_ps(*a[r].get_unchecked(p)), bv);
+                        part[r] = _mm256_add_ps(part[r], prod);
+                    }
+                    p += LANES;
+                }
+                for r in 0..R {
+                    total[r][c] = _mm256_add_ps(total[r][c], part[r]);
+                }
+            }
+        }
+        // One-term lanes: the partial is the product itself.
+        for l in multi..k.min(LANES) {
+            let mut bv = [_mm256_setzero_ps(); C];
+            for c in 0..C {
+                bv[c] = _mm256_loadu_ps(bp.add(l * n + c * W));
+            }
+            for r in 0..R {
+                let v = _mm256_set1_ps(*a[r].get_unchecked(l));
+                for c in 0..C {
+                    total[r][c] = _mm256_add_ps(total[r][c], _mm256_mul_ps(v, bv[c]));
+                }
+            }
+        }
+        for r in 0..R {
+            for c in 0..C {
+                _mm256_storeu_ps(o[r].as_mut_ptr().add(j + c * W), total[r][c]);
+            }
         }
     }
 

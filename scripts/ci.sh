@@ -22,6 +22,9 @@ MUSE_THREADS=1 cargo test -q --workspace
 echo "==> tier-1 tests, SIMD disabled (MUSE_SIMD=0): scalar kernels must stand alone"
 MUSE_SIMD=0 cargo test -q
 
+echo "==> kernel crates, SIMD disabled (MUSE_SIMD=0): scalar twins of every kernel"
+MUSE_SIMD=0 cargo test -q -p muse-tensor -p muse-autograd
+
 echo "==> benches compile"
 cargo bench --workspace --no-run
 
