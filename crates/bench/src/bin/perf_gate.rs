@@ -19,7 +19,9 @@
 //! Baselines are stamped with the SIMD level (`simd_level`) they were
 //! recorded under; `check` refuses to compare timings across instruction
 //! sets (an AVX2 baseline would mask a scalar-machine regression, and a
-//! scalar baseline would make AVX2 runs look like free wins).
+//! scalar baseline would make AVX2 runs look like free wins). A baseline
+//! with no `simd_level` stamp, or with no `benches` or `kernels` to gate,
+//! is refused outright.
 //!
 //! Bench pairs named `<base>_jobs<n>` / `<base>` (the kernels bench emits
 //! `fig9_mini_fleet_jobs4`) gate the **fleet speedup**: `record` stamps the
@@ -30,22 +32,17 @@
 //! (or oversubscribes it into a slowdown) fails the gate even though each
 //! individual bench still passes its own min_ns band.
 //!
+//! `selftest` proves each rule has teeth: for every row of [`RULES`] it
+//! doctors an in-memory copy of the baseline so an honest trace must break
+//! that rule, and fails unless `check` then rejects every doctored entry
+//! with that rule's own message. A rule that finds nothing to doctor, or
+//! misses an entry it must gate, fails the selftest too.
+//!
 //! ```text
-//! perf_gate record <trace.jsonl> <baseline.json>       write a new baseline
-//! perf_gate check  <trace.jsonl> <baseline.json> [tol] fail on regressions
-//! perf_gate doctor <baseline.json> <out.json>          corrupt a copy of the
-//!                                                      baseline (CI negative test)
-//! perf_gate doctor-alloc <baseline.json> <out.json>    corrupt the kernel
-//!                                                      bytes-per-call instead
-//!                                                      (allocation-gate
-//!                                                      negative test)
-//! perf_gate doctor-isa <baseline.json> <out.json>      flip the recorded SIMD
-//!                                                      level (ISA-mismatch
-//!                                                      negative test)
-//! perf_gate doctor-fleet <baseline.json> <out.json>    inflate the stamped
-//!                                                      fleet speedups
-//!                                                      (fleet-gate negative
-//!                                                      test)
+//! perf_gate record   <trace.jsonl> <baseline.json>        write a new baseline
+//! perf_gate check    <trace.jsonl> <baseline.json> [tol]  fail on regressions
+//! perf_gate selftest <trace.jsonl> <baseline.json>        doctor every rule and
+//!                                                         require `check` to fail
 //! ```
 //!
 //! Exit codes: 0 pass, 1 regression or malformed input, 2 usage error.
@@ -53,21 +50,8 @@
 use muse_obs::{json, read_trace, Json};
 use muse_tensor::simd;
 use muse_trace::tolerance::{self, DEFAULT_TOLERANCE};
+use std::fmt::Write;
 use std::process::ExitCode;
-
-/// How much `doctor` shrinks baseline timings: makes any honest run look
-/// at least this many times slower than "baseline", guaranteeing failure.
-const DOCTOR_SHRINK: f64 = 10.0;
-
-/// What `doctor-alloc` sets every kernel's baseline bytes-per-call to: far
-/// from any honest measurement (including an honest 0), so the two-sided
-/// drift check must flag every kernel.
-const DOCTOR_ALLOC_BYTES: f64 = 1e12;
-
-/// How much `doctor-fleet` inflates the stamped fleet speedups: no honest
-/// run gets 10x faster than its own recorded ratio, so the fleet rule must
-/// trip while every other rule stays honest.
-const DOCTOR_FLEET_INFLATE: f64 = 10.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,18 +59,12 @@ fn main() -> ExitCode {
         [mode, trace, baseline] if mode == "record" => record(trace, baseline),
         [mode, trace, baseline] if mode == "check" => check(trace, baseline, None),
         [mode, trace, baseline, tol] if mode == "check" => check(trace, baseline, Some(tol)),
-        [mode, baseline, out] if mode == "doctor" => doctor(baseline, out),
-        [mode, baseline, out] if mode == "doctor-alloc" => doctor_alloc(baseline, out),
-        [mode, baseline, out] if mode == "doctor-isa" => doctor_isa(baseline, out),
-        [mode, baseline, out] if mode == "doctor-fleet" => doctor_fleet(baseline, out),
+        [mode, trace, baseline] if mode == "selftest" => selftest(trace, baseline),
         _ => {
             eprintln!(
-                "usage: perf_gate record <trace.jsonl> <baseline.json>\n       \
-                 perf_gate check  <trace.jsonl> <baseline.json> [tolerance]\n       \
-                 perf_gate doctor <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-alloc <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-isa <baseline.json> <doctored.json>\n       \
-                 perf_gate doctor-fleet <baseline.json> <doctored.json>"
+                "usage: perf_gate record   <trace.jsonl> <baseline.json>\n       \
+                 perf_gate check    <trace.jsonl> <baseline.json> [tolerance]\n       \
+                 perf_gate selftest <trace.jsonl> <baseline.json>"
             );
             return ExitCode::from(2);
         }
@@ -220,39 +198,66 @@ fn load_baseline(path: &str) -> Result<Json, String> {
     json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e:?}"))
 }
 
+/// Precedence: CLI arg, then MUSE_PERF_TOL (both via the shared resolver),
+/// then the tolerance the baseline was recorded with.
+fn resolve_tolerance(cli_tolerance: Option<&String>, baseline: &Json) -> f64 {
+    tolerance::resolve(cli_tolerance.map(String::as_str))
+        .unwrap_or_else(|| baseline.get("tolerance").and_then(Json::as_f64).unwrap_or(DEFAULT_TOLERANCE))
+}
+
 fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Result<(), String> {
     let stats = load_trace(trace)?;
     let baseline = load_baseline(baseline_path)?;
-    // Precedence: CLI arg, then MUSE_PERF_TOL (both via the shared
-    // resolver), then the tolerance the baseline was recorded with.
-    let tolerance = tolerance::resolve(cli_tolerance.map(String::as_str))
-        .unwrap_or_else(|| baseline.get("tolerance").and_then(Json::as_f64).unwrap_or(DEFAULT_TOLERANCE));
-    let mut failures = Vec::new();
+    let tolerance = resolve_tolerance(cli_tolerance, &baseline);
     println!("perf_gate: tolerance +{:.0}% vs {baseline_path}", tolerance * 100.0);
+    let mut log = String::new();
+    let verdict = gate(&stats, &baseline, baseline_path, tolerance, &mut log);
+    print!("{log}");
+    verdict
+}
 
+/// The entries of a baseline section that must be present and non-empty:
+/// a baseline that gates nothing must not pass.
+fn required_section<'a>(baseline: &'a Json, key: &str, path: &str) -> Result<&'a [(String, Json)], String> {
+    match baseline.get(key) {
+        Some(Json::Obj(fields)) if !fields.is_empty() => Ok(fields),
+        _ => Err(format!(
+            "baseline {path} has no `{key}` entries to gate — re-record it (scripts/perf_gate.sh record)"
+        )),
+    }
+}
+
+/// Compare `stats` against `baseline`, writing the per-entry table to `log`.
+fn gate(
+    stats: &TraceStats,
+    baseline: &Json,
+    baseline_path: &str,
+    tolerance: f64,
+    log: &mut String,
+) -> Result<(), String> {
     // Timings are only comparable within one instruction set: an AVX2
     // baseline would mask regressions on a scalar machine, and a scalar
     // baseline would make every AVX2 run look like a free win.
     let current = simd::level_name();
     match baseline.get("simd_level").and_then(Json::as_str) {
-        Some(recorded) if recorded != current => {
+        Some(recorded) if recorded == current => {}
+        Some(recorded) => {
             return Err(format!(
                 "baseline {baseline_path} was recorded at SIMD level `{recorded}` but this run \
                  dispatches `{current}`; timings are not comparable across instruction sets — \
                  re-record on this machine (scripts/perf_gate.sh record)"
             ));
         }
-        Some(_) => {}
-        None => println!(
-            "  note: baseline has no simd_level stamp (recorded pre-SIMD); current level is `{current}`"
-        ),
+        None => {
+            return Err(format!(
+                "baseline {baseline_path} has no `simd_level` stamp — re-record it (scripts/perf_gate.sh record)"
+            ));
+        }
     }
+    let base_benches = required_section(baseline, "benches", baseline_path)?;
+    let base_kernels = required_section(baseline, "kernels", baseline_path)?;
+    let mut failures = Vec::new();
 
-    let empty = Vec::new();
-    let base_benches = match baseline.get("benches") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
-    };
     for (name, want) in base_benches {
         let want_min = want.get("min_ns").and_then(Json::as_f64).unwrap_or(0.0);
         match stats.benches.iter().find(|(n, _, _)| n == name) {
@@ -261,7 +266,8 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
                 let change = tolerance::rel_change(want_min, *got_min);
                 let fail = tolerance::exceeds(want_min, *got_min, tolerance);
                 let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
+                let _ = writeln!(
+                    log,
                     "  {verdict:<4} {name:<40} baseline {want_min:>12.0} ns  current {got_min:>12.0} ns  ({:+.1}%)",
                     change * 100.0
                 );
@@ -278,7 +284,7 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
     }
     for (name, _, _) in &stats.benches {
         if !base_benches.iter().any(|(n, _)| n == name) {
-            println!("  new  {name:<40} (not in baseline; re-record to start gating it)");
+            let _ = writeln!(log, "  new  {name:<40} (not in baseline; re-record to start gating it)");
         }
     }
 
@@ -290,18 +296,21 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
     // parallel win — each catches the fleet quietly serializing on its own
     // hardware.
     let base_fleet = match baseline.get("fleet") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
+        Some(Json::Obj(fields)) => fields.as_slice(),
+        _ => &[],
     };
-    for (name, speedup) in fleet_speedups(&stats) {
+    for (name, speedup) in fleet_speedups(stats) {
         match base_fleet.iter().find(|(n, _)| n == &name) {
-            None => println!("  new  {name:<40} fleet speedup {speedup:.2}x (not in baseline)"),
+            None => {
+                let _ = writeln!(log, "  new  {name:<40} fleet speedup {speedup:.2}x (not in baseline)");
+            }
             Some((_, want)) => {
                 let want_speedup = want.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
                 let floor = want_speedup / (1.0 + tolerance);
                 let fail = speedup < floor;
                 let verdict = if fail { "FAIL" } else { "ok" };
-                println!(
+                let _ = writeln!(
+                    log,
                     "  {verdict:<4} {name:<40} fleet speedup {speedup:.2}x  baseline {want_speedup:.2}x  (floor {floor:.2}x)"
                 );
                 if fail {
@@ -322,10 +331,6 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
         }
     }
 
-    let base_kernels = match baseline.get("kernels") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &empty,
-    };
     for (name, want) in base_kernels {
         let want_bpc = want.get("bytes_per_call").and_then(Json::as_f64).unwrap_or(0.0);
         match stats.kernels.iter().find(|(n, _)| n == name) {
@@ -341,71 +346,12 @@ fn check(trace: &str, baseline_path: &str, cli_tolerance: Option<&String>) -> Re
     }
 
     if failures.is_empty() {
-        println!("perf_gate: PASS ({} benches, {} kernels)", base_benches.len(), base_kernels.len());
+        let _ =
+            writeln!(log, "perf_gate: PASS ({} benches, {} kernels)", base_benches.len(), base_kernels.len());
         Ok(())
     } else {
         Err(format!("{} regression(s):\n  {}", failures.len(), failures.join("\n  ")))
     }
-}
-
-/// Shrink every baseline timing so a subsequent `check` against the
-/// doctored file must fail — CI uses this to prove the gate has teeth.
-fn doctor(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "benches" { (k, shrink_benches(v)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote doctored baseline (timings /{DOCTOR_SHRINK}) to {out}");
-    Ok(())
-}
-
-/// Replace every kernel's baseline bytes-per-call with an absurd value so a
-/// subsequent `check` must fail on the allocation band — CI uses this to
-/// prove the allocation gate (including `train.steady_alloc`) has teeth.
-fn doctor_alloc(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "kernels" { (k, inflate_kernels(v)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote alloc-doctored baseline (bytes-per-call = {DOCTOR_ALLOC_BYTES:.0}) to {out}");
-    Ok(())
-}
-
-/// Flip the recorded SIMD level to the *other* one so a subsequent `check`
-/// must fail with the ISA-mismatch error — CI uses this to prove the gate
-/// refuses cross-instruction-set comparisons.
-fn doctor_isa(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let flipped = if simd::level_name() == "scalar" { "avx2+fma" } else { "scalar" };
-    let doctored = match baseline {
-        Json::Obj(fields) => {
-            let mut fields: Vec<(String, Json)> =
-                fields.into_iter().filter(|(k, _)| k != "simd_level").collect();
-            fields.insert(0, ("simd_level".to_string(), Json::Str(flipped.to_string())));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!("perf_gate: wrote ISA-doctored baseline (simd_level = `{flipped}`) to {out}");
-    Ok(())
 }
 
 /// `fig9_mini_fleet_jobs4` → `fig9_mini_fleet`; `None` when the name is not
@@ -418,112 +364,221 @@ fn fleet_base_name(name: &str) -> Option<&str> {
     Some(base)
 }
 
-/// Inflate every stamped fleet speedup so a subsequent `check` must fail on
-/// the fleet rule (and only on it: timings and kernels are untouched) — CI
-/// uses this to prove the fleet gate has teeth.
-fn doctor_fleet(baseline_path: &str, out: &str) -> Result<(), String> {
-    let baseline = load_baseline(baseline_path)?;
-    let mut inflated = 0usize;
-    let doctored = match baseline {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "fleet" { (k, inflate_fleet(v, &mut inflated)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    };
-    if inflated == 0 {
-        return Err(format!("baseline {baseline_path} has no fleet speedups to inflate"));
+/// One gate rule's self-test row: how to doctor a baseline so an honest
+/// trace must break the rule, and the failure `check` must then report.
+struct Rule {
+    /// The rule and its doctoring, as printed by `selftest`.
+    name: &'static str,
+    /// Baseline section whose entries carry `field`; `None` for a
+    /// top-level field.
+    section: Option<&'static str>,
+    /// The field the rule compares.
+    field: &'static str,
+    /// The doctored value, or `None` when the field is not the type the
+    /// rule compares (that entry then counts as not doctored).
+    doctor: fn(&Json) -> Option<Json>,
+    /// An entry the baseline must gate under this rule.
+    must_gate: Option<&'static str>,
+    /// The text `check` must report for a doctored entry.
+    expect: fn(&str) -> String,
+}
+
+fn scaled(v: &Json, factor: f64) -> Option<Json> {
+    v.as_f64().map(|n| Json::Num(n * factor))
+}
+
+/// Every gate rule `check` enforces, with its doctoring.
+const RULES: [Rule; 4] = [
+    Rule {
+        name: "timings /10",
+        section: Some("benches"),
+        field: "min_ns",
+        doctor: |v| scaled(v, 0.1),
+        must_gate: None,
+        expect: |name| format!("bench `{name}` regressed"),
+    },
+    Rule {
+        name: "bytes_per_call = 1e12",
+        section: Some("kernels"),
+        field: "bytes_per_call",
+        // Far from any honest measurement, an honest 0 included.
+        doctor: |v| v.as_f64().map(|_| Json::Num(1e12)),
+        must_gate: Some("train.steady_alloc"),
+        expect: |name| format!("kernel `{name}` bytes-per-call drifted"),
+    },
+    Rule {
+        name: "flipped simd_level",
+        section: None,
+        field: "simd_level",
+        doctor: |v| {
+            v.as_str()
+                .map(|_| Json::Str(if simd::level_name() == "scalar" { "avx2+fma" } else { "scalar" }.into()))
+        },
+        must_gate: None,
+        expect: |_| "recorded at SIMD level".into(),
+    },
+    Rule {
+        name: "fleet speedups x10",
+        section: Some("fleet"),
+        field: "speedup",
+        doctor: |v| scaled(v, 10.0),
+        must_gate: None,
+        expect: |name| format!("bench `{name}` fleet speedup fell"),
+    },
+];
+
+fn field_mut<'a>(json: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match json {
+        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
     }
-    std::fs::write(out, doctored.render() + "\n")
-        .map_err(|e| format!("cannot write doctored baseline {out}: {e}"))?;
-    println!(
-        "perf_gate: wrote fleet-doctored baseline ({inflated} speedups x{DOCTOR_FLEET_INFLATE}) to {out}"
-    );
+}
+
+/// A copy of `baseline` with `rule` applied, and the names of the entries
+/// it doctored.
+fn doctor(baseline: &Json, rule: &Rule) -> (Json, Vec<String>) {
+    let mut doctored = baseline.clone();
+    let targets: Vec<(String, &mut Json)> = match rule.section {
+        None => {
+            field_mut(&mut doctored, rule.field).map(|v| (rule.field.to_string(), v)).into_iter().collect()
+        }
+        Some(section) => match field_mut(&mut doctored, section) {
+            Some(Json::Obj(entries)) => entries
+                .iter_mut()
+                .filter_map(|(name, stat)| Some((name.clone(), field_mut(stat, rule.field)?)))
+                .collect(),
+            _ => Vec::new(),
+        },
+    };
+    let mut touched = Vec::new();
+    for (name, slot) in targets {
+        if let Some(v) = (rule.doctor)(slot) {
+            *slot = v;
+            touched.push(name);
+        }
+    }
+    (doctored, touched)
+}
+
+/// Run every row of [`RULES`] against `stats`, writing one line per rule
+/// to `log`; fails unless each rule rejects its doctored baseline with its
+/// own message for every doctored entry.
+fn selftest_rules(
+    stats: &TraceStats,
+    baseline: &Json,
+    path: &str,
+    tolerance: f64,
+    log: &mut String,
+) -> Result<(), String> {
+    let mut failures = Vec::new();
+    for rule in &RULES {
+        let (doctored, touched) = doctor(baseline, rule);
+        let verdict = if touched.is_empty() {
+            Err(format!("baseline has no `{}` to doctor", rule.field))
+        } else if let Some(name) = rule.must_gate.filter(|n| !touched.iter().any(|t| t == n)) {
+            Err(format!("baseline does not gate `{name}`"))
+        } else {
+            match gate(stats, &doctored, path, tolerance, &mut String::new()) {
+                Ok(()) => Err("check passed the doctored baseline".to_string()),
+                Err(e) => match touched.iter().map(|name| (rule.expect)(name)).find(|want| !e.contains(want))
+                {
+                    Some(want) => Err(format!("check failed without `{want}`: {e}")),
+                    None => Ok(()),
+                },
+            }
+        };
+        match verdict {
+            Ok(()) => {
+                let _ = writeln!(log, "  ok   {:<24} rejected ({} doctored)", rule.name, touched.len());
+            }
+            Err(e) => {
+                let _ = writeln!(log, "  FAIL {:<24} {e}", rule.name);
+                failures.push(format!("rule `{}`: {e}", rule.name));
+            }
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("selftest: {} rule(s) without teeth:\n  {}", failures.len(), failures.join("\n  ")))
+    }
+}
+
+fn selftest(trace: &str, baseline_path: &str) -> Result<(), String> {
+    let stats = load_trace(trace)?;
+    let baseline = load_baseline(baseline_path)?;
+    let tolerance = resolve_tolerance(None, &baseline);
+    println!("perf_gate: selftest, tolerance +{:.0}% vs {baseline_path}", tolerance * 100.0);
+    let mut log = String::new();
+    let verdict = selftest_rules(&stats, &baseline, baseline_path, tolerance, &mut log);
+    print!("{log}");
+    verdict?;
+    println!("perf_gate: selftest PASS ({} rules)", RULES.len());
     Ok(())
 }
 
-fn inflate_fleet(fleet: Json, inflated: &mut usize) -> Json {
-    match fleet {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let bumped = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| match v {
-                                    Json::Num(n) if k == "speedup" => {
-                                        *inflated += 1;
-                                        (k, Json::Num(n * DOCTOR_FLEET_INFLATE))
-                                    }
-                                    other => (k, other),
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, bumped)
-                })
-                .collect(),
-        ),
-        other => other,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn inflate_kernels(kernels: Json) -> Json {
-    match kernels {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let inflated = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| {
-                                    if k == "bytes_per_call" {
-                                        (k, Json::Num(DOCTOR_ALLOC_BYTES))
-                                    } else {
-                                        (k, v)
-                                    }
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, inflated)
-                })
-                .collect(),
-        ),
-        other => other,
+    fn stats() -> TraceStats {
+        TraceStats {
+            benches: vec![
+                ("matmul_64".to_string(), 1000.0, 1100.0),
+                ("fleet".to_string(), 4000.0, 4100.0),
+                ("fleet_jobs2".to_string(), 2500.0, 2600.0),
+            ],
+            kernels: vec![("tensor.matmul".to_string(), 4096.0), ("train.steady_alloc".to_string(), 0.0)],
+        }
     }
-}
 
-fn shrink_benches(benches: Json) -> Json {
-    match benches {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .map(|(name, stat)| {
-                    let shrunk = match stat {
-                        Json::Obj(fields) => Json::Obj(
-                            fields
-                                .into_iter()
-                                .map(|(k, v)| match v {
-                                    Json::Num(n) if k.ends_with("_ns") => (k, Json::Num(n / DOCTOR_SHRINK)),
-                                    other => (k, other),
-                                })
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (name, shrunk)
-                })
-                .collect(),
-        ),
-        other => other,
+    fn without(baseline: &Json, key: &str) -> Json {
+        match baseline {
+            Json::Obj(fields) => Json::Obj(fields.iter().filter(|(k, _)| k != key).cloned().collect()),
+            other => other.clone(),
+        }
+    }
+
+    fn with(baseline: &Json, key: &str, value: Json) -> Json {
+        let mut out = baseline.clone();
+        *field_mut(&mut out, key).expect("field present") = value;
+        out
+    }
+
+    #[test]
+    fn check_refuses_baselines_that_gate_nothing() {
+        let stats = stats();
+        let full = baseline_json(&stats, DEFAULT_TOLERANCE);
+        let check = |b: &Json| gate(&stats, b, "b.json", DEFAULT_TOLERANCE, &mut String::new());
+        assert_eq!(check(&full), Ok(()));
+        let err = check(&Json::Obj(Vec::new())).expect_err("`{}` must not pass");
+        assert!(err.contains("simd_level"), "{err}");
+        let err = check(&without(&full, "simd_level")).expect_err("an unstamped baseline must not pass");
+        assert!(err.contains("simd_level"), "{err}");
+        for key in ["benches", "kernels"] {
+            let err = check(&without(&full, key)).expect_err("a missing section must not pass");
+            assert!(err.contains(&format!("`{key}`")), "{err}");
+            let err =
+                check(&with(&full, key, Json::Obj(Vec::new()))).expect_err("an empty section must not pass");
+            assert!(err.contains(&format!("`{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn selftest_requires_every_rule_to_bite() {
+        let stats = stats();
+        let full = baseline_json(&stats, DEFAULT_TOLERANCE);
+        let selftest = |b: &Json| selftest_rules(&stats, b, "b.json", DEFAULT_TOLERANCE, &mut String::new());
+        assert_eq!(selftest(&full), Ok(()));
+        // A rule with nothing to doctor has no teeth.
+        let err = selftest(&without(&full, "fleet")).expect_err("no fleet stamp to doctor");
+        assert!(err.contains("fleet speedups x10"), "{err}");
+        // The bytes rule must gate the training step's allocations.
+        let kernels = Json::obj([("tensor.matmul", Json::obj([("bytes_per_call", Json::Num(4096.0))]))]);
+        let err = selftest(&with(&full, "kernels", kernels)).expect_err("train.steady_alloc not gated");
+        assert!(err.contains("train.steady_alloc"), "{err}");
+        // A band so wide that a 10x slowdown passes leaves the timing rule toothless.
+        let err = selftest_rules(&stats, &full, "b.json", 20.0, &mut String::new()).expect_err("20x band");
+        assert!(err.contains("timings /10"), "{err}");
     }
 }

@@ -15,27 +15,30 @@
 //! zeroes; [`take_uninit`] hands out stale values and is only used by
 //! kernels that provably overwrite every element before the buffer becomes
 //! observable. Buffer identity therefore never influences computed values,
-//! which is why pooling preserves the PR 2 determinism contract
-//! (bit-identical results for any `MUSE_THREADS`) — asserted by
-//! `tests/determinism.rs` and the pooled-vs-fresh training test in
-//! `muse-core`.
+//! which is why pooling preserves the determinism contract (bit-identical
+//! results for any `MUSE_THREADS`) — asserted by `tests/determinism.rs` and
+//! the pooled-vs-fresh training test in `muse-core`.
+//!
+//! Besides tensor storage, the arena serves the kernels' short-lived
+//! working buffers (the conv unfold buffers), which go back through
+//! [`recycle`] as soon as the kernel is done with them.
 //!
 //! ## Sharding
 //!
 //! The arena is split into [`SHARD_COUNT`] independently locked
 //! [`BufferPool`] shards. Each thread is pinned to one shard (round-robin
-//! at first use), so concurrent fleet trainings (`MUSE_JOBS > 1`) recycle
-//! and take from disjoint locks instead of serializing on one pool mutex.
-//! A single-threaded run touches exactly one shard and behaves like the
-//! old unsharded arena. The `MUSE_ARENA_MAX_MB` byte budget is enforced
-//! **globally across shards** (see [`recycle`]), not per shard.
+//! at first use), so concurrent fleet trainings (`MUSE_JOBS > 1`) and the
+//! intra-op pool's workers recycle and take from disjoint locks instead of
+//! serializing on one pool mutex. The `MUSE_ARENA_MAX_MB` byte budget is
+//! enforced **globally across shards** (see [`recycle`]), not per shard.
 //!
 //! ## Knobs
 //!
-//! * `MUSE_ARENA=0` disables pooling at startup (every take is a fresh
-//!   allocation, every recycle a free) — the comparison baseline.
 //! * `MUSE_ARENA_MAX_MB` bounds retained bytes across all shards
 //!   (default 256 MiB).
+//! * [`set_enabled`]`(false)` turns pooling off at runtime (every take is
+//!   a fresh allocation, every recycle a free): the fresh-allocation
+//!   reference the pooled-vs-fresh tests compare against.
 //!
 //! Raw counters are always maintained (relaxed atomics); the
 //! `tensor.alloc_bytes` / `tensor.pool_hits` / `tensor.pool_misses`
@@ -44,17 +47,17 @@
 //! `tensor.pool_hits.shard<k>` / `tensor.pool_misses.shard<k>` splits
 //! whose sums equal the aggregate counters.
 
+mod bufpool;
+
+use bufpool::BufferPool;
 use muse_obs as obs;
-use muse_parallel::BufferPool;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Maximum number of retained buffers per shard. A full MUSE-Net training
 /// step drops every tape node's value plus all gradients at once (a few
 /// thousand tensors); the count bound only backstops pathological churn —
-/// the real memory ceiling is the global byte bound. Kept at the old
-/// unsharded value so a single-threaded run (one live shard) retains
-/// exactly what it did before sharding.
+/// the real memory ceiling is the global byte bound.
 const MAX_BUFFERS: usize = 8192;
 /// Default retained-byte bound (overridable via `MUSE_ARENA_MAX_MB`).
 const DEFAULT_MAX_MB: usize = 256;
@@ -82,13 +85,7 @@ struct Arena {
 fn arena() -> &'static Arena {
     static ARENA: OnceLock<Arena> = OnceLock::new();
     ARENA.get_or_init(|| {
-        // Environment is read once, at first tensor allocation.
-        if std::env::var("MUSE_ARENA").is_ok_and(|v| {
-            let v = v.trim();
-            v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")
-        }) {
-            ENABLED.store(false, Ordering::Relaxed);
-        }
+        // The budget is read once, at first tensor allocation.
         let max_mb = std::env::var("MUSE_ARENA_MAX_MB")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
@@ -132,17 +129,15 @@ fn total_retained_bytes(a: &Arena) -> usize {
 }
 
 /// Whether pooling is on. When off, takes are fresh allocations and
-/// recycles are frees — the exact pre-arena behavior.
+/// recycles are frees.
 #[inline]
 pub fn enabled() -> bool {
-    arena(); // ensure the env knob has been applied
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Toggle pooling at runtime. Used by the pooled-vs-fresh bit-identity
-/// tests; production runs configure via `MUSE_ARENA` instead.
+/// tests; pooling is on by default.
 pub fn set_enabled(on: bool) {
-    arena();
     ENABLED.store(on, Ordering::Relaxed);
     if !on {
         clear();

@@ -15,8 +15,9 @@
 //! * output `[N, OC, OH, OW]`
 //!
 //! Both `conv2d` and `conv2d_backward` fan out **per sample** across the
-//! `muse-parallel` pool: each sample's column buffer comes from the shared
-//! scratch pool and its output lands in a disjoint slice, so no floats are
+//! `muse-parallel` pool: each job takes its unfold buffers from the tensor
+//! [`arena`](crate::arena) (its own thread's shard), hands them back when
+//! done, and writes its output into a disjoint slice, so no floats are
 //! shared between jobs and results are bit-identical for any thread count.
 //! The backward pass writes per-sample weight/bias partials into
 //! per-sample slots and folds them sequentially in sample order afterward,
@@ -26,7 +27,6 @@ use crate::linalg::{gemm_at_rows, gemm_bt_rows, gemm_rows};
 use crate::simd;
 use crate::tensor::Tensor;
 use muse_obs as obs;
-use muse_parallel::{take_uninit, take_zeroed};
 
 /// Static description of a conv2d: geometry only, no parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ impl Conv2dSpec {
 
 /// Unfold one `[C, H, W]` image into columns `[C*KH*KW, OH*OW]`, writing
 /// every element of `out` (padding positions get explicit zeros, so `out`
-/// may hold garbage from a recycled scratch buffer).
+/// may hold garbage from a recycled arena buffer).
 pub fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
     let (kh, kw) = spec.kernel;
     let (sh, sw) = spec.stride;
@@ -133,7 +133,7 @@ pub fn im2row_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec,
     assert_eq!(out.len(), oh * ow * ksize, "im2row_into buffer size mismatch");
     let (hp, wp) = (h + 2 * ph, w + 2 * pw);
     let padded = (ph > 0 || pw > 0).then(|| {
-        let mut p = take_zeroed(c * hp * wp);
+        let mut p = crate::arena::take_zeroed(c * hp * wp);
         for (prow, src) in
             (0..c).flat_map(|ch| (0..h).map(move |i| (ch * hp + ph + i) * wp + pw)).zip(img.chunks(w))
         {
@@ -160,6 +160,9 @@ pub fn im2row_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec,
                 }
             }
         }
+    }
+    if let Some(p) = padded {
+        crate::arena::recycle(p);
     }
 }
 
@@ -271,7 +274,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Con
     let input_s = input.as_slice();
     let mut out = crate::arena::take_zeroed(n * oc * ohw); // gemm_rows accumulates into zeroes
     muse_parallel::parallel_for_rows(&mut out, oc * ohw, 1, |s0, chunk| {
-        let mut cols = take_uninit(ksize * ohw); // im2col_into writes every element
+        let mut cols = crate::arena::take_uninit(ksize * ohw); // im2col_into writes every element
         for (ds, so) in chunk.chunks_mut(oc * ohw).enumerate() {
             let img = &input_s[(s0 + ds) * chw..][..chw];
             im2col_into(img, c, h, w, spec, &mut cols);
@@ -282,6 +285,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Con
                 }
             }
         }
+        crate::arena::recycle(cols);
     });
     Tensor::from_vec(out, &[n, oc, oh, ow])
 }
@@ -354,19 +358,21 @@ fn backward(
             Box::new(move || {
                 let img = &input_s[s * chw..][..chw];
                 let go = &go_all[s * oc * ohw..][..oc * ohw];
-                let mut rows = take_uninit(ohw * ksize); // im2row_into writes every element
+                let mut rows = crate::arena::take_uninit(ohw * ksize); // im2row_into writes every element
                 im2row_into(img, c, h, w, spec, &mut rows);
                 // dW_s = go x rows, one canonical dot over output cells per element
                 gemm_bt_rows(go, &rows, dw, 0, ohw, ksize);
+                crate::arena::recycle(rows);
                 // db_s = rowsum(go), canonical lane reduction per row
                 for (ocx, d) in db.iter_mut().enumerate() {
                     *d = simd::sum(&go[ocx * ohw..][..ohw]);
                 }
                 // dX_s = col2im(W^T x go)
                 if let Some(gi) = gi {
-                    let mut dcols = take_zeroed(ksize * ohw);
+                    let mut dcols = crate::arena::take_zeroed(ksize * ohw);
                     gemm_at_rows(wmat, go, &mut dcols, 0, oc, ksize, ohw);
                     col2im_into(&dcols, c, h, w, spec, gi);
+                    crate::arena::recycle(dcols);
                 }
             }) as Box<dyn FnOnce() + Send + '_>
         })
@@ -466,16 +472,26 @@ mod tests {
 
     #[test]
     fn im2col_overwrites_dirty_buffers() {
-        // Scratch buffers come back dirty; im2col_into must be a total
-        // overwrite including the zero-padding fringe.
+        // Arena buffers come back dirty; im2col_into and im2row_into must
+        // be total overwrites including the zero-padding fringe.
         let mut rng = SeededRng::new(13);
-        let spec = Conv2dSpec::same(2, 1, 3);
-        let (c, h, w) = (2, 4, 5);
-        let x = rand_tensor(&mut rng, &[c, h, w]);
-        let clean = im2col(x.as_slice(), c, h, w, &spec);
-        let mut dirty = vec![f32::NAN; clean.len()];
-        im2col_into(x.as_slice(), c, h, w, &spec, &mut dirty);
-        assert_eq!(clean.as_slice(), &dirty[..]);
+        let strided =
+            Conv2dSpec { in_channels: 2, out_channels: 1, kernel: (3, 2), stride: (2, 3), padding: (1, 2) };
+        for spec in [Conv2dSpec::same(2, 1, 3), strided] {
+            let (c, h, w) = (2, 4, 5);
+            let x = rand_tensor(&mut rng, &[c, h, w]);
+            let clean = im2col(x.as_slice(), c, h, w, &spec);
+            let mut dirty = vec![f32::NAN; clean.len()];
+            im2col_into(x.as_slice(), c, h, w, &spec, &mut dirty);
+            assert_eq!(clean.as_slice(), &dirty[..]);
+            // im2row is im2col's transpose.
+            let (ksize, cells) = (clean.dims()[0], clean.dims()[1]);
+            let want: Vec<f32> =
+                (0..cells * ksize).map(|i| clean.as_slice()[(i % ksize) * cells + i / ksize]).collect();
+            dirty.fill(f32::NAN);
+            im2row_into(x.as_slice(), c, h, w, &spec, &mut dirty);
+            assert_eq!(want, dirty, "im2row_into {spec:?}");
+        }
     }
 
     #[test]
