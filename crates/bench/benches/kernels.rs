@@ -39,6 +39,38 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_backward_b8_c16_8x10", |bch| {
         bch.iter(|| black_box(conv2d_backward(&x, &w, &go, &spec)))
     });
+    // The quick profile's own shape: a 4×5 grid, so every GEMM has 20
+    // output columns and ends in a 4-column vector tail.
+    let spec = Conv2dSpec::same(48, 16, 3);
+    let x = Tensor::rand_uniform(&mut rng, &[8, 48, 4, 5], -1.0, 1.0);
+    let w = Tensor::rand_uniform(&mut rng, &[16, 48, 3, 3], -0.2, 0.2);
+    let b = Tensor::rand_uniform(&mut rng, &[16], -0.1, 0.1);
+    c.bench_function("conv2d_b8_c48_4x5", |bch| bch.iter(|| black_box(conv2d(&x, &w, Some(&b), &spec))));
+}
+
+fn bench_adam(c: &mut Criterion) {
+    use muse_tensor::simd::{adam_update, AdamConsts};
+
+    // One Adam step over the model's 66,306 parameters late in training:
+    // every fifth has stopped receiving gradient and holds a subnormal first
+    // moment (2⁻¹⁴⁹..4·2⁻¹⁴⁹, which m·0.9 rounds back to itself, so the
+    // state is the same every iteration).
+    const N: usize = 66_306;
+    let mut rng = SeededRng::new(7);
+    let mut w: Vec<f32> = (0..N).map(|_| rng.uniform(-0.5, 0.5)).collect();
+    let mut m: Vec<f32> = (0..N).map(|_| rng.uniform(-1e-3, 1e-3)).collect();
+    let mut v: Vec<f32> = (0..N).map(|_| rng.uniform(1e-8, 1e-6)).collect();
+    let mut g: Vec<f32> = (0..N).map(|_| rng.uniform(-1e-2, 1e-2)).collect();
+    for (m, g) in m.iter_mut().zip(g.iter_mut()) {
+        if rng.next_u64().is_multiple_of(5) {
+            *m = f32::from_bits(1 + (rng.next_u64() % 4) as u32);
+            *g = 0.0;
+        }
+    }
+    let k = AdamConsts::new(2e-4, 0.9, 0.999, 1e-8, 1800);
+    c.bench_function("adam_step_66k_stuck", |bch| {
+        bch.iter(|| black_box(adam_update(&mut w, &g, &mut m, &mut v, &k)))
+    });
 }
 
 fn bench_simulator(c: &mut Criterion) {
@@ -283,6 +315,6 @@ fn bench_train_step(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_conv2d, bench_simulator, bench_backward, bench_fft, bench_serve_forecast, bench_pulling_loss, bench_fleet, bench_train_step
+    targets = bench_matmul, bench_conv2d, bench_adam, bench_simulator, bench_backward, bench_fft, bench_serve_forecast, bench_pulling_loss, bench_fleet, bench_train_step
 }
 criterion_main!(benches);

@@ -3,6 +3,7 @@
 
 use crate::param::ParamRef;
 use muse_obs as obs;
+use muse_tensor::simd::{self, AdamConsts};
 use muse_tensor::Tensor;
 
 /// Common optimizer interface: owns its parameter list and per-parameter
@@ -106,27 +107,22 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    /// One fused [`simd::adam_update`] pass per parameter tensor. With
+    /// telemetry on, the `nn.adam.stuck` gauge reports how many parameters
+    /// entered the step with a subnormal first moment and a zero gradient.
     fn step(&mut self) {
         self.t += 1;
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
+        let k = AdamConsts::new(self.lr, self.beta1, self.beta2, self.eps, self.t);
+        let mut stuck = 0;
         for ((p, m), v) in
             self.params.iter().zip(self.first_moment.iter_mut()).zip(self.second_moment.iter_mut())
         {
-            p.with_grad(|g| {
-                // m = b1 m + (1-b1) g
-                m.scale_assign(b1);
-                m.axpy_assign(1.0 - b1, g);
-                // v = b2 v + (1-b2) g^2
-                v.scale_assign(b2);
-                v.accum_zip(g, g, move |x, y| (x * y) * (1.0 - b2));
+            stuck += p.update_with(|w, g| {
+                simd::adam_update(w.as_mut_slice(), g.as_slice(), m.as_mut_slice(), v.as_mut_slice(), &k)
             });
-            // update = m_hat / (sqrt(v_hat) + eps)
-            let mut denom = v.mul_scalar(1.0 / bc2);
-            denom.map_inplace(move |x| x.sqrt() + eps);
-            let update = m.mul_scalar(1.0 / bc1).div(&denom);
-            p.apply_update(&update, lr);
+        }
+        if obs::enabled() {
+            obs::gauge("nn.adam.stuck").set(stuck as f64);
         }
     }
 
@@ -243,6 +239,137 @@ mod tests {
         adam.step(); // grad is zero
         assert!(p.value().all_finite());
         assert!(p.value().max_abs_diff(&Tensor::ones(&[2])) < 1e-4);
+    }
+
+    /// Adam written as whole-tensor passes (nine passes and three
+    /// temporaries per parameter): the bit-exactness reference for the
+    /// fused kernel.
+    fn multi_pass_step(adam: &mut Adam) {
+        adam.t += 1;
+        let (b1, b2, eps, lr) = (adam.beta1, adam.beta2, adam.eps, adam.lr);
+        let bc1 = 1.0 - b1.powi(adam.t as i32);
+        let bc2 = 1.0 - b2.powi(adam.t as i32);
+        for ((p, m), v) in
+            adam.params.iter().zip(adam.first_moment.iter_mut()).zip(adam.second_moment.iter_mut())
+        {
+            p.with_grad(|g| {
+                m.scale_assign(b1);
+                m.axpy_assign(1.0 - b1, g);
+                v.scale_assign(b2);
+                v.accum_zip(g, g, move |x, y| (x * y) * (1.0 - b2));
+            });
+            let mut denom = v.mul_scalar(1.0 / bc2);
+            denom.map_inplace(move |x| x.sqrt() + eps);
+            let update = m.mul_scalar(1.0 / bc1).div(&denom);
+            p.apply_update(&update, lr);
+        }
+    }
+
+    fn bits(ts: &[Tensor]) -> Vec<u32> {
+        ts.iter().flat_map(|t| t.as_slice().iter().map(|x| x.to_bits())).collect()
+    }
+
+    fn stuck_lanes(adam: &Adam) -> usize {
+        adam.params
+            .iter()
+            .zip(&adam.first_moment)
+            .map(|(p, m)| {
+                p.with_grad(|g| {
+                    m.as_slice()
+                        .iter()
+                        .zip(g.as_slice())
+                        .filter(|(m, g)| m.is_subnormal() && **g == 0.0)
+                        .count()
+                })
+            })
+            .sum()
+    }
+
+    #[test]
+    fn fused_adam_matches_multi_pass_reference_for_2000_steps() {
+        use muse_tensor::init::SeededRng;
+        use muse_tensor::simd::{with_level, Level};
+
+        // relu(x·W1 + b1)·W2 against a fixed target. Input features 4 and 5
+        // go silent after step 200, so W1's rows 4 and 5 see exact-zero
+        // gradients from then on and their first moments decay into the
+        // subnormal range, where they stick.
+        let mut rng = SeededRng::new(2024);
+        let init = [
+            Tensor::rand_uniform(&mut rng, &[6, 8], -0.5, 0.5),
+            Tensor::rand_uniform(&mut rng, &[8], -0.1, 0.1),
+            Tensor::rand_uniform(&mut rng, &[8, 1], -0.5, 0.5),
+        ];
+        let model = |tag: &str| -> Vec<ParamRef> {
+            init.iter().enumerate().map(|(i, t)| Param::new(format!("{tag}{i}"), t.clone())).collect()
+        };
+        let mut runs = [
+            (None, Adam::with_defaults(model("ref"), 3e-3)),
+            (Some(Level::Avx2Fma), Adam::with_defaults(model("avx"), 3e-3)),
+            (Some(Level::Scalar), Adam::with_defaults(model("sca"), 3e-3)),
+        ];
+        let mut stuck = 0;
+        for step in 0..2000 {
+            let mut x = Tensor::rand_uniform(&mut rng, &[4, 6], -1.0, 1.0);
+            if step >= 200 {
+                for row in x.as_mut_slice().chunks_mut(6) {
+                    row[4..].fill(0.0);
+                }
+            }
+            let target = Tensor::rand_uniform(&mut rng, &[4, 1], -1.0, 1.0);
+            for (level, adam) in &mut runs {
+                let tape = Tape::new();
+                let s = Session::new(&tape);
+                let p = adam.params().to_vec();
+                let h = s.input(x.clone()).matmul(&s.param(&p[0])).add(&s.param(&p[1])).relu();
+                s.backward(mse(&h.matmul(&s.param(&p[2])), &target));
+                match level {
+                    None => {
+                        stuck = stuck_lanes(adam);
+                        multi_pass_step(adam);
+                    }
+                    Some(level) => with_level(*level, || adam.step()),
+                }
+                adam.zero_grad();
+            }
+            let (reference, fused) = runs.split_at(1);
+            let want = &reference[0].1;
+            for (level, got) in fused {
+                let what = format!("step {step}, {level:?}");
+                let values = |a: &Adam| a.params.iter().map(|p| p.value()).collect::<Vec<_>>();
+                assert_eq!(bits(&values(got)), bits(&values(want)), "weights differ at {what}");
+                assert_eq!(bits(&got.first_moment), bits(&want.first_moment), "m differs at {what}");
+                assert_eq!(bits(&got.second_moment), bits(&want.second_moment), "v differs at {what}");
+            }
+        }
+        assert!(stuck >= 16, "only {stuck} stuck first moments: the run never reached the stuck path");
+    }
+
+    #[test]
+    fn stuck_gauge_counts_subnormal_moments_with_zero_gradient() {
+        let _g = obs::test_lock();
+        obs::enable();
+        let p = Param::new("w", Tensor::ones(&[11]));
+        let mut adam = Adam::with_defaults(vec![p.clone()], 1e-3);
+        adam.step();
+        adam.second_moment[0].as_mut_slice().fill(1e-6);
+        let m = adam.first_moment[0].as_mut_slice();
+        // Three stuck lanes (subnormal m, zero g), one subnormal m with a
+        // gradient, one normal m.
+        m[..3].copy_from_slice(&[1e-40, -3e-42, 1e-45]);
+        m[3] = 1e-40;
+        m[4] = 1e-3;
+        p.accumulate_grad(&Tensor::from_vec(
+            (0..11).map(|i| if i == 3 { 0.5 } else { 0.0 }).collect(),
+            &[11],
+        ));
+        adam.step();
+        assert_eq!(obs::gauge("nn.adam.stuck").get(), 3.0);
+        adam.zero_grad();
+        adam.step();
+        // Lane 3's moment is normal now; lanes 0..3 are still subnormal.
+        assert_eq!(obs::gauge("nn.adam.stuck").get(), 3.0);
+        obs::disable();
     }
 
     #[test]

