@@ -7,8 +7,8 @@
 //! recording an op never clones a tensor. Broadcasting binary ops fold
 //! gradients back to operand shape with `Tensor::sum_to`.
 
-use crate::tape::{Tape, Var};
-use muse_tensor::conv::{conv2d, conv2d_backward, conv2d_param_backward};
+use crate::tape::{BackwardFn, Tape, Var};
+use muse_tensor::conv::{conv2d, conv2d_backward_from, conv2d_unfold};
 use muse_tensor::{Conv2dSpec, Tensor};
 
 /// Compute a binary forward value from two recorded nodes without cloning
@@ -270,32 +270,38 @@ impl<'t> Var<'t> {
     }
 
     /// 2-D convolution with weight and optional bias variables.
+    ///
+    /// On a training tape the node keeps the input's im2row unfold for its
+    /// backward pass, so the input is unfolded once per step; a
+    /// [`Tape::forward_only`](crate::Tape::forward_only) tape keeps nothing.
     pub fn conv2d(&self, weight: &Var<'t>, bias: Option<&Var<'t>>, spec: Conv2dSpec) -> Var<'t> {
         let (lx, lw) = (self.id(), weight.id());
         let lb = bias.map(|b| b.id());
-        let out = {
+        let training = !self.tape().is_forward_only();
+        let (out, unfold) = {
             let nodes = self.tape().nodes.borrow();
-            let b = lb.map(|lb| &nodes[lb].value);
-            conv2d(&nodes[lx].value, &nodes[lw].value, b, &spec)
+            let (x, w, b) = (&nodes[lx].value, &nodes[lw].value, lb.map(|lb| &nodes[lb].value));
+            if training {
+                let (out, unfold) = conv2d_unfold(x, w, b, &spec);
+                (out, Some(unfold))
+            } else {
+                (conv2d(x, w, b, &spec), None)
+            }
         };
-        self.tape().push(
-            "conv2d",
-            out,
-            Some(Box::new(move |ctx, sink| {
+        let backward = unfold.map(|unfold| -> BackwardFn {
+            Box::new(move |ctx, sink| {
                 let (x, w, g) = (ctx.value(lx), ctx.value(lw), ctx.grad());
-                let (gw, gb) = if ctx.is_constant(lx) {
-                    conv2d_param_backward(x, w, g, &spec)
-                } else {
-                    let (gx, gw, gb) = conv2d_backward(x, w, g, &spec);
+                let (gx, gw, gb) = conv2d_backward_from(&unfold, x, w, g, &spec, !ctx.is_constant(lx));
+                if let Some(gx) = gx {
                     sink.add_owned(lx, gx);
-                    (gw, gb)
-                };
+                }
                 sink.add_owned(lw, gw);
                 if let Some(lb) = lb {
                     sink.add_owned(lb, gb);
                 }
-            })),
-        )
+            })
+        });
+        self.tape().push("conv2d", out, backward)
     }
 
     // ------------------------------------------------------------ reductions
@@ -570,6 +576,26 @@ mod tests {
         assert!(gx_leaf.is_some(), "a leaf conv input gets its gradient");
         assert_eq!(gw_const, gw_leaf, "weight gradient bits depend on whether the input is a constant");
         assert_eq!(gb_const, gb_leaf, "bias gradient bits depend on whether the input is a constant");
+    }
+
+    #[test]
+    fn conv2d_output_bits_match_on_training_and_forward_only_tapes() {
+        // The training tape's conv keeps its unfold, the forward-only
+        // tape's does not; the outputs must not differ by a bit, including
+        // through a second conv that reads the first one's output.
+        let mut rng = muse_tensor::init::SeededRng::new(29);
+        let spec = Conv2dSpec::same(5, 6, 3);
+        let xv = Tensor::rand_uniform(&mut rng, &[3, 5, 4, 5], -1.0, 1.0);
+        let w1 = Tensor::rand_uniform(&mut rng, &[6, 5, 3, 3], -0.5, 0.5);
+        let w2 = Tensor::rand_uniform(&mut rng, &[6, 6, 3, 3], -0.5, 0.5);
+        let bv = Tensor::rand_uniform(&mut rng, &[6], -0.1, 0.1);
+        let run = |tape: &Tape| {
+            let x = tape.constant(xv.clone());
+            let (w1, w2, b) = (tape.leaf(w1.clone()), tape.leaf(w2.clone()), tape.leaf(bv.clone()));
+            let y = x.conv2d(&w1, Some(&b), spec).tanh().conv2d(&w2, None, Conv2dSpec::same(6, 6, 3));
+            y.value().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(&Tape::new()), run(&Tape::forward_only()));
     }
 
     #[test]

@@ -6,8 +6,13 @@ use std::cell::RefCell;
 
 /// Backward closure: reads operand values through a [`BackwardCtx`] and
 /// accumulates parent contributions into a [`GradSink`]. Closures capture
-/// only node ids, scalars, and op specs — never tensor clones — so recording
-/// a node allocates nothing beyond its forward value.
+/// node ids, scalars and op specs, never clones of tensors already on the
+/// tape, so recording a node allocates nothing beyond its forward value.
+/// The one exception is `conv2d`: its closure owns the input's im2row
+/// unfold, which the forward computed anyway, so the backward pass need
+/// not unfold again. It exists only on training tapes: a
+/// [`Tape::forward_only`] tape drops closures at record time, and conv
+/// there keeps nothing.
 pub(crate) type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>, &mut GradSink<'_>)>;
 
 /// Op name of [`Tape::constant`] nodes.

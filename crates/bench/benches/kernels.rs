@@ -9,7 +9,7 @@
 //! identical training steps only.
 
 use muse_bench::{bench_dataset, bench_profile, criterion_group, criterion_main, Criterion};
-use muse_tensor::conv::{conv2d, conv2d_backward, Conv2dSpec};
+use muse_tensor::conv::{conv2d, conv2d_backward, conv2d_backward_from, conv2d_unfold, Conv2dSpec};
 use muse_tensor::init::SeededRng;
 use muse_tensor::Tensor;
 use muse_traffic::{CityConfig, CitySimulator};
@@ -39,13 +39,20 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_backward_b8_c16_8x10", |bch| {
         bch.iter(|| black_box(conv2d_backward(&x, &w, &go, &spec)))
     });
-    // The quick profile's own shape: a 4×5 grid, so every GEMM has 20
-    // output columns and ends in a 4-column vector tail.
+    // The quick profile's own shape: a 4×5 grid of 20 output cells, 48
+    // channels to 16.
     let spec = Conv2dSpec::same(48, 16, 3);
     let x = Tensor::rand_uniform(&mut rng, &[8, 48, 4, 5], -1.0, 1.0);
     let w = Tensor::rand_uniform(&mut rng, &[16, 48, 3, 3], -0.2, 0.2);
     let b = Tensor::rand_uniform(&mut rng, &[16], -0.1, 0.1);
     c.bench_function("conv2d_b8_c48_4x5", |bch| bch.iter(|| black_box(conv2d(&x, &w, Some(&b), &spec))));
+    // Its backward as a training step runs it: from the unfold the forward
+    // kept, with the input gradient.
+    let (y, unfold) = conv2d_unfold(&x, &w, Some(&b), &spec);
+    let go = Tensor::rand_uniform(&mut rng, y.dims(), -1.0, 1.0);
+    c.bench_function("conv2d_backward_b8_c48_4x5", |bch| {
+        bch.iter(|| black_box(conv2d_backward_from(&unfold, &x, &w, &go, &spec, true)))
+    });
 }
 
 fn bench_adam(c: &mut Criterion) {

@@ -5,7 +5,7 @@
 //! Dense, row-major, `f32` tensor substrate for the MUSE-Net reproduction.
 //!
 //! The crate deliberately keeps a small surface: contiguous tensors, numpy
-//! style broadcasting, matrix multiplication, and the im2col-based 2-D
+//! style broadcasting, matrix multiplication, and the im2row-based 2-D
 //! convolution kernels that the CNN encoders of MUSE-Net and its baselines
 //! are built from. Everything is CPU-only `f32`; the training workloads in
 //! this repository are sized for that.

@@ -367,7 +367,8 @@ fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// `dst[i] += src[i]` (col2im interiors, sample-ordered gradient folds).
+/// `dst[i] += src[i]` (conv input-gradient channel vectors, sample-ordered
+/// gradient folds).
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "simd::add_assign length mismatch");
     #[cfg(target_arch = "x86_64")]

@@ -144,7 +144,7 @@ fn conv_matches_reference_random_geometry() {
 
 #[test]
 fn conv_matches_reference_odd_shapes() {
-    // Odd channel counts and widths: every im2col row length (cin·kh·kw and
+    // Odd channel counts and widths: every unfold dimension (cin·kh·kw and
     // oh·ow) is a non-multiple of the 8-wide SIMD vector, so the tail lanes
     // of the vectorized GEMM are exercised on both the scalar and AVX2
     // paths. The reference is elementwise, so comparison is approximate.
